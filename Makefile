@@ -9,7 +9,7 @@ GO ?= go
 COVER_FLOOR_CORE ?= 95.0
 COVER_FLOOR_SERVICE ?= 82.0
 
-.PHONY: build test vet race service-race check lint cover bench bench-baseline bench-compare bench-smoke bench-kernels profile serve-smoke crash-smoke dist-smoke overload-smoke incr-smoke
+.PHONY: build test vet race service-race check lint cover bench bench-baseline bench-compare bench-smoke bench-kernels perfbench-smoke profile serve-smoke crash-smoke dist-smoke overload-smoke incr-smoke
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,13 @@ bench-smoke:
 # cheap enough for the CI smoke pass while still exercising the loops.
 bench-kernels:
 	$(GO) test -run XXX -bench 'BenchmarkKernel' -benchtime 100x -benchmem ./internal/core
+
+# The service benchmark's self-test: a tiny pass of all four perfbench
+# workloads with every per-op check (statuses, stream == result, Definition
+# 3.2 per cluster, byte-equality to core.Mine). perfbench is its own module,
+# so the root `go test ./...` never enters it.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # CPU-profile the mining hot path: one iteration of a Figure 7 panel under
 # -cpuprofile, then the top cumulative functions. Override PROFILE_BENCH to

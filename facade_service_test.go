@@ -59,11 +59,12 @@ func TestPublicAPIObservedMining(t *testing.T) {
 	p := regcluster.Params{MinG: 3, MinC: 5, Gamma: 0.2, Epsilon: 1e-9}
 	var obs regcluster.Observer
 	var streamed int
-	stats, err := regcluster.MineParallelFuncObserved(context.Background(), m, p, 2,
-		func(b *regcluster.Bicluster) bool { streamed++; return true }, &obs)
+	res, err := regcluster.MineWith(context.Background(), m, p, regcluster.MineOptions{Workers: 2,
+		Visit: func(b *regcluster.Bicluster) bool { streamed++; return true }, Observer: &obs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := res.Stats
 	if streamed != 1 || obs.Nodes() != int64(stats.Nodes) {
 		t.Fatalf("streamed %d, observed %d nodes vs stats %d", streamed, obs.Nodes(), stats.Nodes)
 	}

@@ -1,6 +1,7 @@
 package regcluster_test
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -19,7 +20,7 @@ func TestPublicAPIParallelAndThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := regcluster.MineParallel(m, p, 0)
+	par, err := regcluster.MineWith(context.Background(), m, p, regcluster.MineOptions{Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +71,11 @@ func TestPublicAPISharedModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := regcluster.MineWithModels(m, q, models)
+		got, err := regcluster.MineWith(context.Background(), m, q, regcluster.MineOptions{Workers: 1, Models: models})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotPar, err := regcluster.MineParallelWithModels(m, q, 2, models)
+		gotPar, err := regcluster.MineWith(context.Background(), m, q, regcluster.MineOptions{Workers: 2, Models: models})
 		if err != nil {
 			t.Fatal(err)
 		}

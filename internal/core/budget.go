@@ -6,8 +6,8 @@ import (
 )
 
 // budget is the global resource accounting shared by every miner of one
-// mining run — the single miner of Mine/MineFunc or the whole pool of
-// MineParallel/MineParallelFunc. All miners charge the same atomic counters,
+// mining run — the single sequential miner or the whole worker pool of a
+// parallel MineWith run. All miners charge the same atomic counters,
 // so MaxNodes and MaxClusters bound the RUN, not each worker, and a cap trip
 // (or an external cancellation: a visitor stop, a sibling's truncation, a
 // context expiry) is observed cooperatively by everyone at the next node or
@@ -42,7 +42,7 @@ func newBudget(p Params, ctx context.Context) *budget {
 // the exact totals of a settled mining prefix. A sequential miner run
 // against it behaves — truncation point, cluster output and every Stats
 // counter — exactly like the sequential miner's continuation after that
-// prefix; the parallel reconciliation path uses this to rebuild the
+// prefix; SubtreeMerger's reconciliation reruns use this to rebuild the
 // sequential result of the subtree a global cap truncates.
 func prechargedBudget(maxNodes, maxClusters, nodes, clusters int) *budget {
 	b := &budget{maxNodes: int64(maxNodes), maxClusters: int64(maxClusters)}

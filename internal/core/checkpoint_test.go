@@ -11,22 +11,19 @@ import (
 	"regcluster/internal/matrix"
 )
 
-// resumableRun drives MineParallelFuncResumable collecting clusters and
-// snapshots; stopAfter > 0 stops the visitor after that many deliveries
-// (simulating an interruption).
+// resumableRun drives MineWith with Resume and Checkpoint, collecting
+// clusters and snapshots; stopAfter > 0 stops the visitor after that many
+// deliveries (simulating an interruption).
 func resumableRun(t *testing.T, m *matrix.Matrix, p Params, workers int, resume *Checkpoint, every, stopAfter int) ([]*Bicluster, []Checkpoint, Stats, error) {
 	t.Helper()
 	var got []*Bicluster
 	var snaps []Checkpoint
-	stats, err := MineParallelFuncResumable(context.Background(), m, p, workers,
-		func(b *Bicluster) bool {
-			got = append(got, b)
-			return stopAfter <= 0 || len(got) < stopAfter
-		},
-		nil, resume,
-		CheckpointConfig{EveryClusters: every, OnCheckpoint: func(ck Checkpoint) {
-			snaps = append(snaps, ck)
-		}})
+	stats, err := statsOf(MineWith(context.Background(), m, p, Options{Workers: workers, Visit: func(b *Bicluster) bool {
+		got = append(got, b)
+		return stopAfter <= 0 || len(got) < stopAfter
+	}, Resume: resume, Checkpoint: CheckpointConfig{EveryClusters: every, OnCheckpoint: func(ck Checkpoint) {
+		snaps = append(snaps, ck)
+	}}}))
 	return got, snaps, stats, err
 }
 
@@ -237,9 +234,7 @@ func TestCheckpointValidate(t *testing.T) {
 	}
 	m := randomMatrix(20, 6, 1)
 	bad := &Checkpoint{Version: 99}
-	if _, err := MineParallelFuncResumable(context.Background(), m,
-		Params{MinG: 3, MinC: 3, Gamma: 0.05, Epsilon: 0.4}, 2,
-		func(*Bicluster) bool { return true }, nil, bad, CheckpointConfig{}); err == nil {
+	if _, err := statsOf(MineWith(context.Background(), m, Params{MinG: 3, MinC: 3, Gamma: 0.05, Epsilon: 0.4}, Options{Workers: 2, Visit: func(*Bicluster) bool { return true }, Resume: bad})); err == nil {
 		t.Fatal("invalid checkpoint accepted")
 	}
 }

@@ -9,6 +9,7 @@ package core
 // truncated by the global caps).
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -95,7 +96,7 @@ func checkDifferential(t *testing.T, m *matrix.Matrix, p Params, label string) {
 		t.Fatalf("%s: optimized Stats diverge\nref: %+v\ngot: %+v", label, ref.Stats, got.Stats)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		par, err := MineParallel(m, p, workers)
+		par, err := MineWith(context.Background(), m, p, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("%s: parallel(%d) error: %v", label, workers, err)
 		}

@@ -79,15 +79,18 @@
 // Resource budgets are a first-class subsystem (budget.go): MaxNodes and
 // MaxClusters charge one shared atomic budget no matter how many miners run,
 // so sequential and parallel runs truncate at exactly the same global caps,
-// and cancellation (a cap trip, a visitor stop, or a context deadline via
-// MineContext/MineParallelContext) propagates cooperatively to every worker.
+// and cancellation (a cap trip, a visitor stop, or a context deadline passed
+// to MineWith) propagates cooperatively to every worker.
 //
-// MineParallel distributes level-1 subtrees over a worker pool through a
-// largest-first work queue and returns output identical to Mine's — clusters
-// and Stats, truncated runs included (see parallel.go for the reconciliation
-// that makes truncated parallel runs exact). MineParallelFunc streams the
-// same deterministic sequence to a visitor through per-subtree reordering
-// buffers. Params.CustomGammas plugs in the alternative per-gene regulation
+// MineWith is the one entry point behind Mine: with Options.Workers > 1 it
+// distributes level-1 subtrees over a worker pool through a largest-first
+// work queue and returns output identical to Mine's — clusters and Stats,
+// truncated runs included — or streams the same deterministic sequence to
+// Options.Visit through per-subtree reordering buffers. SubtreeMerger
+// (subtree.go) is the one place that reassembles subtrees into that
+// sequence: it enforces the caps against the settled prefix and reconciles
+// truncated runs exactly, for the in-process pool and distributed workers
+// alike. Params.CustomGammas plugs in the alternative per-gene regulation
 // thresholds Section 3.1 mentions (thresholds.go). CheckBicluster validates
 // any cluster against Definition 3.2 directly from the raw matrix,
 // independent of the index and search.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sort"
@@ -103,7 +104,7 @@ func TestMineParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 2, 4, 16} {
-			par, err := MineParallel(m, p, workers)
+			par, err := MineWith(context.Background(), m, p, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,11 +123,11 @@ func TestMineParallelMatchesSequential(t *testing.T) {
 func TestMineParallelOrderDeterministic(t *testing.T) {
 	m := randomMatrix(50, 8, 9)
 	p := Params{MinG: 3, MinC: 3, Gamma: 0.05, Epsilon: 0.4}
-	a, err := MineParallel(m, p, 4)
+	a, err := MineWith(context.Background(), m, p, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MineParallel(m, p, 4)
+	b, err := MineWith(context.Background(), m, p, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestMineParallelOrderDeterministic(t *testing.T) {
 
 func TestMineParallelRunningExample(t *testing.T) {
 	m := paperdata.RunningExample()
-	res, err := MineParallel(m, runningParams(), 3)
+	res, err := MineWith(context.Background(), m, runningParams(), Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +154,8 @@ func TestMineParallelRunningExample(t *testing.T) {
 
 func TestMineParallelValidation(t *testing.T) {
 	m := matrix.FromRows([][]float64{{1, math.NaN()}})
-	if _, err := MineParallel(m, Params{MinG: 2, MinC: 2, Gamma: 0.1}, 2); err == nil {
-		t.Fatal("NaN matrix accepted by MineParallel")
+	if _, err := MineWith(context.Background(), m, Params{MinG: 2, MinC: 2, Gamma: 0.1}, Options{Workers: 2}); err == nil {
+		t.Fatal("NaN matrix accepted by a parallel MineWith")
 	}
 }
 

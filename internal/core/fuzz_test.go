@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"regcluster/internal/matrix"
@@ -56,7 +57,7 @@ func FuzzMine(f *testing.F) {
 			t.Fatalf("Stats diverged from reference:\nref %+v\ngot %+v", ref.Stats, res.Stats)
 		}
 		// Parallel must agree.
-		par, err := MineParallel(m, p, 3)
+		par, err := MineWith(context.Background(), m, p, Options{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
+	"regcluster/internal/faultinject"
 	"regcluster/internal/matrix"
 	"regcluster/internal/rwave"
 )
@@ -226,8 +228,12 @@ func MineIncremental(ctx context.Context, child, parent *matrix.Matrix, p Params
 		return Stats{}, IncrementalInfo{}, err
 	}
 	coldMine := func(reason string) (Stats, IncrementalInfo, error) {
-		stats, err := mineParallelOpts(ctx, child, p, workers, visit, mineOpts{obs: o, models: childModels})
-		return stats, IncrementalInfo{Fallback: reason}, err
+		info := IncrementalInfo{Fallback: reason}
+		res, err := MineWith(ctx, child, p, Options{Workers: workers, Visit: visit, Observer: o, Models: childModels})
+		if err != nil {
+			return Stats{}, info, err
+		}
+		return res.Stats, info, nil
 	}
 	if reason := incrementalFallback(child, parent, p, childModels, parentModels, parentResult); reason != "" {
 		return coldMine(reason)
@@ -302,7 +308,7 @@ func MineIncremental(ctx context.Context, child, parent *matrix.Matrix, p Params
 		stop     atomic.Bool
 		errOnce  sync.Once
 		firstErr error
-		panicked atomic.Pointer[any]
+		panicked atomic.Pointer[PanicError]
 		wg       sync.WaitGroup
 	)
 	for w := 0; w < nWorkers; w++ {
@@ -310,8 +316,10 @@ func MineIncremental(ctx context.Context, child, parent *matrix.Matrix, p Params
 		go func() {
 			defer wg.Done()
 			defer func() {
+				// Contain a miner panic on this goroutine: the run fails
+				// with a *PanicError, as the cold path does.
 				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, &r)
+					panicked.CompareAndSwap(nil, &PanicError{Value: r, Stack: debug.Stack()})
 					stop.Store(true)
 				}
 			}()
@@ -321,6 +329,7 @@ func MineIncremental(ctx context.Context, child, parent *matrix.Matrix, p Params
 					return
 				}
 				t := tasks[i]
+				_ = faultinject.Hook("core.mine.subtree") // panic/delay injection for containment tests
 				bud := newBudget(iso, ctx)
 				if t.onParent {
 					mn := newMiner(parent, iso, parentKern, bud)
@@ -346,13 +355,13 @@ func MineIncremental(ctx context.Context, child, parent *matrix.Matrix, p Params
 		}()
 	}
 	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		panic(*r)
-	}
 	info := IncrementalInfo{
 		Incremental:    true,
 		SubtreesReused: oldConds - nDirtyOld,
 		SubtreesMined:  conds - oldConds + nDirtyOld,
+	}
+	if perr := panicked.Load(); perr != nil {
+		return Stats{}, info, perr
 	}
 	if firstErr != nil {
 		return Stats{}, info, firstErr

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"regcluster/internal/faultinject"
 	"regcluster/internal/matrix"
 	"regcluster/internal/rwave"
 )
@@ -159,7 +162,7 @@ func TestDifferentialIncrementalVsCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: parent models: %v", label, err)
 			}
-			parentRes, err := MineParallelWithModels(parent, p, 4, parentModels)
+			parentRes, err := MineWith(context.Background(), parent, p, Options{Workers: 4, Models: parentModels})
 			if err != nil {
 				t.Fatalf("%s: parent mine: %v", label, err)
 			}
@@ -167,7 +170,7 @@ func TestDifferentialIncrementalVsCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: repair: %v", label, err)
 			}
-			cold, err := MineParallelWithModels(child, p, 4, childModels)
+			cold, err := MineWith(context.Background(), child, p, Options{Workers: 4, Models: childModels})
 			if err != nil {
 				t.Fatalf("%s: cold mine: %v", label, err)
 			}
@@ -219,7 +222,7 @@ func TestMineIncrementalFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parentRes, err := MineParallelWithModels(parent, p, 1, parentModels)
+	parentRes, err := MineWith(context.Background(), parent, p, Options{Workers: 1, Models: parentModels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +274,7 @@ func TestMineIncrementalFallbacks(t *testing.T) {
 		{"values rewritten", rewritten, parent, p, rewrittenModels, parentRes, "parent values rewritten"},
 	}
 	for _, tc := range cases {
-		cold, err := MineParallelWithModels(tc.m, tc.p, 1, tc.models)
+		cold, err := MineWith(context.Background(), tc.m, tc.p, Options{Workers: 1, Models: tc.models})
 		if err != nil {
 			t.Fatalf("%s: cold mine: %v", tc.name, err)
 		}
@@ -302,7 +305,7 @@ func TestMineIncrementalVisitorStop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parentRes, err := MineParallelWithModels(parent, p, 2, parentModels)
+		parentRes, err := MineWith(context.Background(), parent, p, Options{Workers: 2, Models: parentModels})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +313,7 @@ func TestMineIncrementalVisitorStop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := MineParallelWithModels(child, p, 2, childModels)
+		cold, err := MineWith(context.Background(), child, p, Options{Workers: 2, Models: childModels})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +348,7 @@ func TestMineIncrementalCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parentRes, err := MineParallelWithModels(parent, p, 2, parentModels)
+	parentRes, err := MineWith(context.Background(), parent, p, Options{Workers: 2, Models: parentModels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,5 +363,45 @@ func TestMineIncrementalCancelled(t *testing.T) {
 		nil, childModels, parentModels, parentRes)
 	if err == nil {
 		t.Fatal("cancelled context produced no error")
+	}
+}
+
+// TestMineIncrementalWorkerPanicContained: a panic on a fast-path worker
+// surfaces as a *PanicError — as on the cold engine — instead of crossing
+// to the caller's goroutine.
+func TestMineIncrementalWorkerPanicContained(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	rng := rand.New(rand.NewSource(13))
+	p := Params{MinG: 2, MinC: 2, Gamma: 1, AbsoluteGamma: true, Epsilon: 0.5}
+	parent, child := grownMatrix(t, rng, 6, 5, 2)
+	parentModels, err := BuildModels(parent, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentRes, err := MineWith(context.Background(), parent, p, Options{Workers: 2, Models: parentModels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	childModels, _, err := RepairModels(child, p, parentModels, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine := func() (IncrementalInfo, error) {
+		_, info, err := MineIncremental(context.Background(), child, parent, p, 2,
+			func(*Bicluster) bool { return true }, nil, childModels, parentModels, parentRes)
+		return info, err
+	}
+	if info, err := mine(); err != nil || !info.Incremental {
+		t.Fatalf("fixture must take the fast path: info %+v, err %v", info, err)
+	}
+	disarm := faultinject.Arm("core.mine.subtree", faultinject.Spec{Panic: "boom in a dirty subtree", Times: 1})
+	_, err = mine()
+	disarm()
+	var perr *PanicError
+	if !errors.As(err, &perr) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if !strings.Contains(perr.Error(), "boom in a dirty subtree") || len(perr.Stack) == 0 {
+		t.Fatalf("panic error lost its value or stack: %v", perr)
 	}
 }

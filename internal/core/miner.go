@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"regcluster/internal/matrix"
@@ -33,40 +34,104 @@ type extMember struct {
 	h float64
 }
 
+// Visitor receives mined clusters as the depth-first search discovers them.
+// Returning false stops the search immediately; the clusters seen so far are
+// exactly the prefix of Mine's output.
+type Visitor func(b *Bicluster) bool
+
+// Options are the optional parts of one MineWith run. The zero value mines
+// on every CPU, collecting into Result.Clusters.
+type Options struct {
+	// Workers is the size of the worker pool: <= 0 selects GOMAXPROCS, and
+	// counts above the number of conditions are clamped to it. With 1 and
+	// neither Resume nor Checkpoint set, the sequential miner runs on the
+	// calling goroutine.
+	Workers int
+	// Visit, when set, receives the clusters on the calling goroutine, in
+	// Mine's order, instead of Result.Clusters; returning false stops every
+	// worker, and the returned Stats are then exactly those of the
+	// sequential miner stopped at the same cluster.
+	Visit Visitor
+	// Observer, when set, receives live node/cluster counts from the
+	// miners, and its attached span parents the run's trace spans.
+	Observer *Observer
+	// Resume restarts a run from a prior snapshot of the same matrix and
+	// Params: the visitor receives exactly the clusters after
+	// Resume.Delivered(), and the returned Stats are the uninterrupted run's
+	// totals.
+	Resume *Checkpoint
+	// Checkpoint emits snapshots as the run advances.
+	Checkpoint CheckpointConfig
+	// Models reuses a prebuilt RWave model set from BuildModels on the same
+	// matrix with a ModelKey-equivalent Params; nil builds one for the run.
+	Models []*rwave.Model
+}
+
 // Mine discovers all reg-clusters of m under p (Definition 3.2), returning
-// them in deterministic depth-first enumeration order.
+// them in deterministic depth-first enumeration order. It runs on the
+// calling goroutine; MineWith adds workers, streaming, cancellation,
+// progress, checkpoints and prebuilt models.
 func Mine(m *matrix.Matrix, p Params) (*Result, error) {
-	return MineContext(context.Background(), m, p)
+	return MineWith(context.Background(), m, p, Options{Workers: 1})
 }
 
-// MineContext is Mine with cooperative cancellation: the search checks the
-// context at every node and candidate boundary and, once it expires, stops
-// promptly and returns the context's error. The cancellation point is not
-// deterministic, so no partial result is returned.
-func MineContext(ctx context.Context, m *matrix.Matrix, p Params) (*Result, error) {
-	mn, err := mineSequential(ctx, m, p, nil, nil)
+// MineWith is the one mining entry point. It returns the same clusters, in
+// the same order, with the same Stats as Mine for any worker count —
+// including runs truncated by the global MaxClusters/MaxNodes caps, which
+// bound the whole run rather than each worker. ctx (nil means background) is
+// observed by every miner at node and candidate boundaries; once it expires
+// the call stops promptly and returns the context's error, with no partial
+// result, since the cancellation point is not deterministic. A panic on a
+// worker goroutine is contained and returned as a *PanicError. With Visit
+// set, the returned Result carries only Stats.
+func MineWith(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Result, error) {
+	sp := o.Observer.traceSpan()
+	_, kern, err := resolveModels(m, p, o.Models, sp)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Clusters: mn.out, Stats: mn.stats}, nil
-}
-
-// mineSequential runs one single-threaded mining session. With a nil visitor
-// the clusters accumulate on the returned miner's out slice; otherwise they
-// stream to the visitor as MineFunc documents. A non-nil models slice reuses
-// a prebuilt RWave index instead of building one (see BuildModels).
-func mineSequential(ctx context.Context, m *matrix.Matrix, p Params, models []*rwave.Model, visit Visitor) (*miner, error) {
-	_, kern, err := resolveModels(m, p, models, nil)
-	if err != nil {
+	workers := o.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, m.Cols())
+	if workers <= 1 && o.Resume == nil && !o.Checkpoint.enabled() {
+		mn, err := mineSequential(ctx, m, p, kern, o.Visit, o.Observer, sp)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Clusters: mn.out, Stats: mn.stats}, nil
+	}
+	res := &Result{}
+	visit := o.Visit
+	if visit == nil {
+		visit = func(b *Bicluster) bool {
+			res.Clusters = append(res.Clusters, b)
+			return true
+		}
+	}
+	if res.Stats, err = mineParallel(ctx, m, p, kern, max(workers, 1), visit, o, sp); err != nil {
 		return nil, err
 	}
+	return res, nil
+}
+
+// mineSequential runs the whole search on the calling goroutine against one
+// budget. With a nil visitor the clusters accumulate on the returned miner's
+// out slice; otherwise they stream to the visitor.
+func mineSequential(ctx context.Context, m *matrix.Matrix, p Params, kern []rwave.Kernel, visit Visitor, o *Observer, sp *obs.Span) (*miner, error) {
 	mn := newMiner(m, p, kern, newBudget(p, ctx))
+	mn.obs = o
+	mn.span = sp
 	if visit != nil {
 		mn.sink = func(b *Bicluster, _ int) bool { return visit(b) }
 	}
 	mn.run()
 	if err := mn.bud.contextErr(); err != nil {
 		return nil, err
+	}
+	if mn.stats.Truncated {
+		sp.Add("budget_trips", 1)
 	}
 	return mn, nil
 }
@@ -89,7 +154,7 @@ func validateInputs(m *matrix.Matrix, p Params) error {
 
 // prepare validates the inputs, builds the per-gene RWave models — fanning
 // the construction out across CPUs for large gene counts (the models are
-// independent per gene, and MineParallel shares the one resulting slice
+// independent per gene, and a parallel run shares the one resulting slice
 // between all workers and reconciliation reruns) — and packs the fresh set
 // into a contiguous ModelSlab (rwave.PackModels), so every downstream miner
 // walks a few large cache-friendly backing arrays instead of ~nGenes

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -17,7 +16,7 @@ import (
 // the budget caps. Parameter sweeps that vary only those knobs can therefore
 // build the index once and re-mine many times; this file is that surface:
 // BuildModels constructs a shareable model set, ModelKey names it
-// canonically, and the Mine*WithModels entry points accept it.
+// canonically, and Options.Models accepts it.
 
 // RWaveModel aliases rwave.Model so callers above internal/ (the facade, the
 // service layer) can hold and exchange prebuilt model sets without importing
@@ -27,7 +26,7 @@ type RWaveModel = rwave.Model
 // BuildModels validates (m, p) and constructs the per-gene RWave models that
 // Mine would build internally, fanning the construction across CPUs for large
 // gene counts. The result is immutable after construction and safe to share:
-// between concurrent Mine*WithModels calls, across worker pools, and across
+// between concurrent MineWith calls, across worker pools, and across
 // any number of runs whose parameters agree on the γ-scheme — i.e. have the
 // same ModelKey. Varying Epsilon, MinG, MinC, the caps, or the ablation
 // switches does not invalidate a model set.
@@ -62,44 +61,4 @@ func ModelKey(datasetHash string, p Params) string {
 		scheme = fmt.Sprintf("rel:%016x", math.Float64bits(p.Gamma))
 	}
 	return datasetHash + "|" + scheme
-}
-
-// MineWithModels is Mine reusing a prebuilt model set: models must come from
-// a BuildModels call on the same matrix with a ModelKey-equivalent Params.
-// Output is byte-identical to Mine(m, p).
-func MineWithModels(m *matrix.Matrix, p Params, models []*rwave.Model) (*Result, error) {
-	mn, err := mineSequential(context.Background(), m, p, models, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Clusters: mn.out, Stats: mn.stats}, nil
-}
-
-// MineParallelWithModels is MineParallel reusing a prebuilt model set, with
-// the same determinism guarantee: results are identical to Mine's for any
-// worker count.
-func MineParallelWithModels(m *matrix.Matrix, p Params, workers int, models []*rwave.Model) (*Result, error) {
-	res := &Result{}
-	stats, err := mineParallelOpts(nil, m, p, workers, func(b *Bicluster) bool {
-		res.Clusters = append(res.Clusters, b)
-		return true
-	}, mineOpts{models: models})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stats
-	return res, nil
-}
-
-// MineParallelFuncResumableWithModels is MineParallelFuncResumable reusing a
-// prebuilt model set: the full-option streaming entry (cancellation, live
-// progress, checkpoint/resume) for callers that amortize the RWave build
-// across jobs — the service's model cache in particular.
-func MineParallelFuncResumableWithModels(ctx context.Context, m *matrix.Matrix, p Params, workers int, visit Visitor, obs *Observer, resume *Checkpoint, ck CheckpointConfig, models []*rwave.Model) (Stats, error) {
-	if resume != nil {
-		if err := resume.Validate(m.Cols()); err != nil {
-			return Stats{}, err
-		}
-	}
-	return mineParallelOpts(ctx, m, p, workers, visit, mineOpts{obs: obs, resume: resume, ck: ck, models: models})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -40,19 +41,19 @@ func TestWithModelsEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Mine variant: %v", err)
 				}
-				got, err := MineWithModels(m, p, models)
+				got, err := MineWith(context.Background(), m, p, Options{Workers: 1, Models: models})
 				if err != nil {
-					t.Fatalf("MineWithModels: %v", err)
+					t.Fatalf("sequential MineWith with models: %v", err)
 				}
 				if !reflect.DeepEqual(got, seqWant) {
-					t.Fatalf("MineWithModels diverges from Mine (ε=%v)", p.Epsilon)
+					t.Fatalf("sequential MineWith with models diverges from Mine (ε=%v)", p.Epsilon)
 				}
-				par, err := MineParallelWithModels(m, p, 4, models)
+				par, err := MineWith(context.Background(), m, p, Options{Workers: 4, Models: models})
 				if err != nil {
-					t.Fatalf("MineParallelWithModels: %v", err)
+					t.Fatalf("parallel MineWith with models: %v", err)
 				}
 				if !reflect.DeepEqual(par, seqWant) {
-					t.Fatalf("MineParallelWithModels diverges from Mine (ε=%v)", p.Epsilon)
+					t.Fatalf("parallel MineWith with models diverges from Mine (ε=%v)", p.Epsilon)
 				}
 			}
 			_ = want
@@ -74,10 +75,10 @@ func TestWithModelsResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []*Bicluster
-	stats, err := MineParallelFuncResumableWithModels(nil, m, p, 3, func(b *Bicluster) bool {
+	stats, err := statsOf(MineWith(context.Background(), m, p, Options{Workers: 3, Visit: func(b *Bicluster) bool {
 		got = append(got, b)
 		return true
-	}, nil, nil, CheckpointConfig{}, models)
+	}, Models: models}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +98,13 @@ func TestWithModelsRejectsBadInputs(t *testing.T) {
 	}
 	bad := p
 	bad.Epsilon = math.NaN()
-	if _, err := MineWithModels(m, bad, models); err == nil {
+	if _, err := MineWith(context.Background(), m, bad, Options{Workers: 1, Models: models}); err == nil {
 		t.Error("non-finite Epsilon accepted via WithModels")
 	}
-	if _, err := MineWithModels(m, p, models[:10]); err == nil {
+	if _, err := MineWith(context.Background(), m, p, Options{Workers: 1, Models: models[:10]}); err == nil {
 		t.Error("model/gene count mismatch accepted")
 	}
-	if _, err := MineParallelWithModels(m, p, 2, models[:10]); err == nil {
+	if _, err := MineWith(context.Background(), m, p, Options{Workers: 2, Models: models[:10]}); err == nil {
 		t.Error("model/gene count mismatch accepted by parallel entry")
 	}
 	if _, err := BuildModels(m, bad, nil); err == nil {

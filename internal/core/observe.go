@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
-	"regcluster/internal/matrix"
 	"regcluster/internal/obs"
 )
 
@@ -52,24 +50,9 @@ func (o *Observer) traceSpan() *obs.Span {
 	return o.span.Load()
 }
 
-// MineParallelFuncContext is MineParallelFunc with cooperative cancellation:
-// every worker observes ctx at node and candidate boundaries, and once it
-// expires the call stops promptly and returns the context's error. Delivery
-// order and truncation semantics are otherwise identical to MineParallelFunc.
-func MineParallelFuncContext(ctx context.Context, m *matrix.Matrix, p Params, workers int, visit Visitor) (Stats, error) {
-	return mineParallel(ctx, m, p, workers, visit, nil)
-}
-
-// MineParallelFuncObserved is MineParallelFuncContext with live progress
-// reporting: the miners increment obs (when non-nil) as they visit nodes and
-// emit clusters, so concurrent readers can watch the run advance.
-func MineParallelFuncObserved(ctx context.Context, m *matrix.Matrix, p Params, workers int, visit Visitor, obs *Observer) (Stats, error) {
-	return mineParallel(ctx, m, p, workers, visit, obs)
-}
-
 // ValidateWorkers reports whether a caller-supplied worker count is usable.
 // Zero and negative counts are valid and select GOMAXPROCS (the documented
-// Mine* convention) — except that servers accepting untrusted requests
+// Options.Workers convention) — except that servers accepting untrusted requests
 // usually want a ceiling: a positive max rejects counts above it. Use it
 // wherever a worker count crosses an API boundary (CLI flags, service
 // submissions) so the error message is uniform.

@@ -24,10 +24,10 @@ func TestMineParallelFuncObservedMatchesStats(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var obs Observer
 		var streamed int
-		stats, err := MineParallelFuncObserved(context.Background(), m, p, workers, func(b *Bicluster) bool {
+		stats, err := statsOf(MineWith(context.Background(), m, p, Options{Workers: workers, Visit: func(b *Bicluster) bool {
 			streamed++
 			return true
-		}, &obs)
+		}, Observer: &obs}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestMineParallelFuncObservedTruncatedRunKeepsCounters(t *testing.T) {
 	m, p := observeTestMatrix(t)
 	p.MaxNodes = 50
 	var obs Observer
-	stats, err := MineParallelFuncObserved(context.Background(), m, p, 4, func(*Bicluster) bool { return true }, &obs)
+	stats, err := statsOf(MineWith(context.Background(), m, p, Options{Workers: 4, Visit: func(*Bicluster) bool { return true }, Observer: &obs}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +69,17 @@ func TestMineParallelFuncObservedTruncatedRunKeepsCounters(t *testing.T) {
 func TestMineParallelFuncContextMatchesMineFunc(t *testing.T) {
 	m, p := observeTestMatrix(t)
 	var seq []string
-	if _, err := MineFunc(m, p, func(b *Bicluster) bool {
+	if _, err := statsOf(MineWith(context.Background(), m, p, Options{Workers: 1, Visit: func(b *Bicluster) bool {
 		seq = append(seq, b.Key())
 		return true
-	}); err != nil {
+	}})); err != nil {
 		t.Fatal(err)
 	}
 	var par []string
-	stats, err := MineParallelFuncContext(context.Background(), m, p, 4, func(b *Bicluster) bool {
+	stats, err := statsOf(MineWith(context.Background(), m, p, Options{Workers: 4, Visit: func(b *Bicluster) bool {
 		par = append(par, b.Key())
 		return true
-	})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMineParallelFuncContextCancellation(t *testing.T) {
 	m, p := observeTestMatrix(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := MineParallelFuncContext(ctx, m, p, 4, func(*Bicluster) bool { return true })
+	_, err := statsOf(MineWith(ctx, m, p, Options{Workers: 4, Visit: func(*Bicluster) bool { return true }}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

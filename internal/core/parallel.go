@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -10,129 +9,44 @@ import (
 	"regcluster/internal/faultinject"
 	"regcluster/internal/matrix"
 	"regcluster/internal/obs"
-
 	"regcluster/internal/rwave"
 )
 
-// MineParallel mines the same cluster set as Mine using a pool of workers.
-// Level-1 subtrees (starting conditions) are independent — a representative
-// chain lives entirely in the subtree of its first condition — so they are
-// dispatched through a work queue, largest-estimated-subtree first to keep
-// the (highly skewed) load balanced, and the merged result is ordered by
-// starting condition, then depth-first, exactly as in Mine.
+// The in-process parallel engine. Level-1 subtrees (starting conditions) are
+// independent — a representative chain lives entirely in the subtree of its
+// first condition — so a worker pool mines them through a work queue,
+// largest-estimated-subtree first to keep the (highly skewed) load balanced,
+// each into its own reordering buffer. The caller's goroutine drains the
+// buffers in starting-condition order into a SubtreeMerger, which alone
+// decides what the run returns: the output is therefore Mine's — clusters,
+// order and Stats, truncated runs included — for any worker count.
 //
-// workers <= 0 selects GOMAXPROCS. The MaxClusters and MaxNodes caps are
-// enforced GLOBALLY through a budget shared by all workers: a truncated
-// parallel run returns exactly the clusters — and exactly the Stats — that
-// the truncated sequential Mine returns, for any worker count.
-func MineParallel(m *matrix.Matrix, p Params, workers int) (*Result, error) {
-	return mineParallelCollect(nil, m, p, workers)
-}
+// The engine keeps what the merger cannot do: the pool, the budget shared by
+// every worker (it stops capped runs early; the merger then reconciles the
+// exact sequential stop point), panic containment, and subtree spans.
 
-// MineParallelContext is MineParallel with cooperative cancellation: all
-// workers observe the context at node and candidate boundaries. Once the
-// context expires the call stops promptly and returns the context's error;
-// the cancellation point is not deterministic, so no partial result is
-// returned.
-func MineParallelContext(ctx context.Context, m *matrix.Matrix, p Params, workers int) (*Result, error) {
-	return mineParallelCollect(ctx, m, p, workers)
-}
-
-func mineParallelCollect(ctx context.Context, m *matrix.Matrix, p Params, workers int) (*Result, error) {
-	res := &Result{}
-	stats, err := mineParallel(ctx, m, p, workers, func(b *Bicluster) bool {
-		res.Clusters = append(res.Clusters, b)
-		return true
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stats
-	return res, nil
-}
-
-// MineParallelFunc streams reg-clusters to the visitor from a pool of
-// workers. Delivery order is deterministic and identical to MineFunc's:
-// each level-1 subtree's clusters pass through a reordering buffer and the
-// visitor receives them in starting-condition order, depth-first within a
-// subtree, on the calling goroutine. Returning false from the visitor stops
-// every worker cooperatively; the clusters delivered and the returned Stats
-// are then exactly those of MineFunc with the same visitor. The visitor must
-// be non-nil.
-func MineParallelFunc(m *matrix.Matrix, p Params, workers int, visit Visitor) (Stats, error) {
-	return mineParallel(nil, m, p, workers, visit, nil)
-}
-
-// mineParallel is the plain (non-resumable) engine entry shared by the
-// pre-existing parallel front-ends.
-func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, workers int, visit Visitor, obs *Observer) (Stats, error) {
-	return mineParallelOpts(ctx, m, p, workers, visit, mineOpts{obs: obs})
-}
-
-// mineOpts bundles the optional machinery of one parallel run: live progress
-// counters, a resume snapshot, checkpoint emission, and a prebuilt RWave
-// model set (nil = build one for this run).
-type mineOpts struct {
-	obs    *Observer
-	resume *Checkpoint
-	ck     CheckpointConfig
-	models []*rwave.Model
-}
-
-// mineParallelOpts is the engine entry shared by every parallel front-end.
-// The optional obs receives live node/cluster counts from every worker miner;
-// reconciliation reruns do NOT feed it, since they re-walk subtrees whose
-// nodes the interrupted workers already counted.
-func mineParallelOpts(ctx context.Context, m *matrix.Matrix, p Params, workers int, visit Visitor, opts mineOpts) (Stats, error) {
-	sp := opts.obs.traceSpan()
-	_, kern, err := resolveModels(m, p, opts.models, sp)
+// mineParallel runs the engine for MineWith: workers >= 1 goroutines over
+// the run's shared kernel views.
+func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, kern []rwave.Kernel, workers int, visit Visitor, o Options, sp *obs.Span) (Stats, error) {
+	g, err := newMerger(ctx, m, p, kern, visit, o.Resume, o.Checkpoint)
 	if err != nil {
 		return Stats{}, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	g.sp = sp
+	if g.done { // the checkpoint already covers the whole run
+		return g.Result()
 	}
-	nConds := m.Cols()
-	if workers > nConds {
-		workers = nConds
-	}
-	bud := newBudget(p, ctx)
-	resumable := opts.resume != nil || opts.ck.enabled()
-	if workers <= 1 && !resumable {
-		// One worker degenerates to the sequential miner on the same budget.
-		// Resumable runs always take the engine path below: it is the emitter
-		// accounting that knows subtree boundaries and watermarks, and its
-		// worker pool contains panics instead of crossing the API with them.
-		mn := newMiner(m, p, kern, bud)
-		mn.obs = opts.obs
-		mn.span = sp
-		mn.sink = func(b *Bicluster, _ int) bool { return visit(b) }
-		mn.run()
-		if err := bud.contextErr(); err != nil {
-			return Stats{}, err
-		}
-		if mn.stats.Truncated {
-			sp.Add("budget_trips", 1)
-		}
-		return mn.stats, nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	e := &engine{m: m, p: p, kern: kern, bud: bud, visit: visit, obs: opts.obs, sp: sp,
-		ck: opts.ck, subs: make([]*subtree, nConds)}
-	if r := opts.resume; r != nil {
-		e.start = r.NextCond
-		e.skip = r.SkipClusters
-		e.agg = r.Prefix
-		e.cumNodes = r.Prefix.Nodes
-		e.cumClusters = r.Prefix.Clusters
-		e.lastChain = r.LastChain
+	e := &engine{m: m, p: p, kern: kern, bud: newBudget(p, ctx), obs: o.Observer, sp: sp,
+		subs: make([]*subtree, m.Cols())}
+	if r := o.Resume; r != nil {
 		// Pre-charge the shared budget with the settled prefix so MaxNodes/
 		// MaxClusters keep bounding the RUN, not the continuation.
-		bud.nodes.Store(int64(r.Prefix.Nodes))
-		bud.clusters.Store(int64(r.Prefix.Clusters))
+		e.bud.nodes.Store(int64(r.Prefix.Nodes))
+		e.bud.clusters.Store(int64(r.Prefix.Clusters))
+	}
+	g.halt = func() error {
+		e.stopWorkers()
+		return e.failure()
 	}
 	for c := range e.subs {
 		e.subs[c] = newSubtree()
@@ -142,56 +56,35 @@ func mineParallelOpts(ctx context.Context, m *matrix.Matrix, p Params, workers i
 		e.wg.Add(1)
 		go e.worker(queue)
 	}
+	start := g.next
 	go func() {
 		for _, c := range subtreeOrder(m, p, kern) {
-			if c < e.start {
-				continue // settled before the resume snapshot
+			if c >= start { // earlier subtrees settled before the resume snapshot
+				queue <- c
 			}
-			queue <- c
 		}
 		close(queue)
 	}()
-	stats, err := e.emit()
+	stats, err := e.emit(g)
 	e.stopWorkers()
 	return stats, err
 }
 
 // engine runs one parallel mining session: a worker pool mining level-1
-// subtrees against a shared budget, and an in-order emitter (the calling
-// goroutine, see emit) that reassembles the deterministic sequential output
-// from the per-subtree reordering buffers.
+// subtrees against a shared budget, and an emitter (the calling goroutine,
+// see emit) that feeds their reordering buffers to the run's merger.
 type engine struct {
-	m     *matrix.Matrix
-	p     Params
-	kern  []rwave.Kernel // shared flat model views (see resolveModels)
-	bud   *budget
-	visit Visitor
-	obs   *Observer
-	sp    *obs.Span // optional trace parent for subtree/rerun spans; nil = off
-	subs  []*subtree
-	wg    sync.WaitGroup
-
-	// start/skip position a resumed run: subtrees before start are settled
-	// (their totals pre-loaded into agg below), and the first skip clusters
-	// of subtree start are re-found but not re-delivered.
-	start int
-	skip  int
-
-	// Checkpoint emission state. ckFresh counts clusters delivered since the
-	// last snapshot; lastChain is the chain of the most recent delivery.
-	ck        CheckpointConfig
-	ckFresh   int
-	lastChain []int
-
-	// Exact sequential accounting of the settled prefix: agg/cumNodes/
-	// cumClusters cover whole subtrees already delivered, in starting-
-	// condition order.
-	agg         Stats
-	cumNodes    int
-	cumClusters int
+	m    *matrix.Matrix
+	p    Params
+	kern []rwave.Kernel // shared flat model views (see resolveModels)
+	bud  *budget
+	obs  *Observer
+	sp   *obs.Span // optional trace parent for subtree spans; nil = off
+	subs []*subtree
+	wg   sync.WaitGroup
 
 	// First worker panic of the run, recovered on the worker goroutine and
-	// returned from emit as the run's error.
+	// returned as the run's error.
 	panicMu  sync.Mutex
 	panicErr *PanicError
 }
@@ -236,7 +129,7 @@ func (e *engine) mineSubtree(c int) {
 	}
 	// The subtree is complete exactly when the miner ran it to the end:
 	// any stop (own cap trip or a sibling's cancellation) leaves it
-	// schedule-dependent and the emitter will re-mine it if needed.
+	// schedule-dependent and the merger re-mines it if needed.
 	sub.finish(mn.stats, !mn.stop)
 }
 
@@ -251,10 +144,18 @@ func (e *engine) notePanic(r any) {
 	e.bud.cancel()
 }
 
-func (e *engine) runPanic() *PanicError {
+// failure returns the error that ends the run regardless of what the merger
+// settled: the context interrupting mining, or a contained worker panic.
+func (e *engine) failure() error {
+	if err := e.bud.contextErr(); err != nil {
+		return err
+	}
 	e.panicMu.Lock()
 	defer e.panicMu.Unlock()
-	return e.panicErr
+	if e.panicErr != nil {
+		return e.panicErr
+	}
+	return nil
 }
 
 func (e *engine) stopWorkers() {
@@ -262,227 +163,46 @@ func (e *engine) stopWorkers() {
 	e.wg.Wait()
 }
 
-// emit drains the subtree buffers in starting-condition order, delivering
-// clusters to the visitor while enforcing the sequential-prefix semantics of
-// the global caps:
-//
-//   - a streamed cluster is delivered only if the node that emitted it lies
-//     within the global node cap (cumNodes + local node ordinal <= MaxNodes) —
-//     the exact set of nodes the sequential miner processes;
-//   - the cluster whose delivery reaches MaxClusters is delivered, then the
-//     run truncates, as in the sequential miner;
-//   - any truncation (cap or visitor stop) re-mines the affected subtree
-//     against a budget pre-charged with the settled prefix totals, yielding
-//     Stats identical to the truncated sequential run's.
-//
-// Workers mine subtrees in an arbitrary, schedule-dependent interleaving;
-// only the accounting here decides what the run *returns*, which is why the
-// output is deterministic and cap-exact regardless of worker count.
-//
-// On a resumed run the scan begins at the snapshot's subtree with the
-// accounting pre-loaded, and the first skip clusters of that subtree are
-// consumed (they count toward every cap, exactly as they did originally) but
-// not re-delivered.
-func (e *engine) emit() (Stats, error) {
-	nodeCap, clusterCap := e.p.MaxNodes, e.p.MaxClusters
-	for c := e.start; c < len(e.subs); c++ {
-		sub := e.subs[c]
-		taken := 0
-		closed := false
-		for !closed {
-			var items []streamedCluster
-			items, closed = sub.take(taken)
-			for _, it := range items {
-				if nodeCap > 0 && e.cumNodes+it.node > nodeCap {
-					// The node that emitted this cluster lies beyond the
-					// global cap: the sequential miner stops before it.
-					return e.truncate(c, taken, clusterCap)
-				}
-				taken++
-				if c != e.start || taken > e.skip {
-					if !e.visit(it.b) {
-						// A visitor stop right after this cluster is equivalent
-						// to a MaxClusters cap at the delivered total.
-						return e.truncate(c, taken, e.cumClusters+taken)
-					}
-					e.noteDelivery(c, taken, it.b)
-				}
-				if clusterCap > 0 && e.cumClusters+taken >= clusterCap {
-					return e.truncate(c, taken, clusterCap)
+// emit hands the merger, in starting-condition order, each buffered cluster
+// of the head subtree as soon as its worker finds it, then the finished
+// subtree. Workers fill the buffers in an arbitrary, schedule-dependent
+// interleaving; only the merger's accounting decides what the run returns.
+func (e *engine) emit(g *SubtreeMerger) (Stats, error) {
+	for !g.done {
+		sub := e.subs[g.next]
+		read := 0
+		for closed := false; !closed && !g.done; {
+			var items []SubtreeCluster
+			items, closed = sub.take(read)
+			for _, sc := range items {
+				read++
+				if g.offerCluster(sc) {
+					break
 				}
 			}
-			if !closed {
+			if !closed && !g.done {
 				sub.wait()
 			}
 		}
+		if g.done {
+			break
+		}
 		st, complete := sub.final()
-		if err := e.bud.contextErr(); err != nil {
+		if err := e.failure(); err != nil {
 			return Stats{}, err
 		}
-		if perr := e.runPanic(); perr != nil {
-			e.stopWorkers()
-			return Stats{}, perr
-		}
-		if !complete {
-			// The worker was interrupted, so the recorded remainder of this
-			// subtree is schedule-dependent. Re-mine it sequentially against
-			// the exact continuation budget: the rerun either truncates at
-			// the precise sequential stop point, or completes — proving the
-			// interruption was spurious overshoot — and the scan resumes.
-			e.stopWorkers()
-			skip := taken
-			if c == e.start && e.skip > skip {
-				// The worker was interrupted before reaching the resume
-				// watermark: the rerun must still suppress every cluster the
-				// pre-crash run had already delivered.
-				skip = e.skip
-			}
-			st = e.rerun(c, skip, true, clusterCap)
-			if err := e.bud.contextErr(); err != nil {
-				return Stats{}, err
-			}
-			e.accountSubtree(c, st)
-			if st.Truncated {
-				e.sp.Add("budget_trips", 1)
-				return e.agg, nil
-			}
-			continue
-		}
-		if nodeCap > 0 && e.cumNodes+st.Nodes > nodeCap {
-			// The node cap fires inside this subtree after its last
-			// delivered cluster.
-			return e.truncate(c, taken, clusterCap)
-		}
-		e.accountSubtree(c, st)
+		g.finishHead(st, complete)
 	}
-	return e.agg, nil
-}
-
-// noteDelivery tracks one delivered cluster for checkpointing: it advances
-// the cadence counter, remembers the DFS chain, and snapshots when the
-// configured number of deliveries has accumulated. taken is the sequential
-// within-subtree ordinal of the delivery, i.e. the subtree watermark.
-func (e *engine) noteDelivery(c, taken int, b *Bicluster) {
-	if !e.ck.enabled() {
-		return
-	}
-	e.ckFresh++
-	e.lastChain = b.Chain
-	if e.ck.EveryClusters > 0 && e.ckFresh >= e.ck.EveryClusters {
-		e.snapshot(c, taken)
-	}
-}
-
-// accountSubtree folds a fully settled subtree into the prefix accounting and
-// emits a boundary snapshot: after this point a resumed run starts cleanly at
-// the next starting condition.
-func (e *engine) accountSubtree(c int, st Stats) {
-	e.account(st)
-	if e.ck.enabled() && !st.Truncated {
-		e.snapshot(c+1, 0)
-	}
-}
-
-// snapshot emits one Checkpoint positioned before the skip-th undelivered
-// cluster of subtree nextCond. Runs on the emitter goroutine.
-func (e *engine) snapshot(nextCond, skip int) {
-	e.ckFresh = 0
-	e.sp.Add("checkpoints", 1)
-	ck := Checkpoint{Version: CheckpointVersion, NextCond: nextCond, SkipClusters: skip, Prefix: e.agg}
-	if len(e.lastChain) > 0 {
-		ck.LastChain = append([]int(nil), e.lastChain...)
-	}
-	e.ck.OnCheckpoint(ck)
-}
-
-func (e *engine) account(st Stats) {
-	e.agg.Add(st)
-	e.cumNodes += st.Nodes
-	e.cumClusters += st.Clusters
-}
-
-// truncate settles a truncation detected while streaming subtree c, after
-// `taken` of its clusters were delivered: the pool stops, and the subtree is
-// re-mined against the pre-charged continuation budget solely to reproduce
-// the truncated sequential run's Stats. No further clusters are delivered.
-func (e *engine) truncate(c, taken, effClusterCap int) (Stats, error) {
-	e.sp.Add("budget_trips", 1)
-	e.stopWorkers()
-	if err := e.bud.contextErr(); err != nil {
-		return Stats{}, err
-	}
-	if perr := e.runPanic(); perr != nil {
-		return Stats{}, perr
-	}
-	e.agg.Add(e.rerun(c, taken, false, effClusterCap))
-	if err := e.bud.contextErr(); err != nil {
-		return Stats{}, err
-	}
-	return e.agg, nil
-}
-
-// rerun re-mines subtree c single-threaded against a fresh budget whose
-// counters are pre-charged with the settled prefix totals, making its
-// behavior — truncation point, cluster sequence and every Stats counter —
-// identical to the sequential miner's continuation into this subtree. The
-// first `skip` clusters were already delivered and are suppressed; when
-// deliver is set the remainder streams to the visitor (whose stop truncates
-// the rerun exactly like MineFunc).
-func (e *engine) rerun(c, skip int, deliver bool, clusterCap int) Stats {
-	rsp := e.sp.Start("rerun")
-	if rsp != nil {
-		rsp.SetInt("cond", int64(c))
-		rsp.SetInt("skip", int64(skip))
-		if deliver {
-			rsp.SetAttr("deliver", "true")
-		}
-		defer rsp.End()
-	}
-	rbud := prechargedBudget(e.p.MaxNodes, clusterCap, e.cumNodes, e.cumClusters)
-	// The rerun observes the run's context too: reconciliation after a cap
-	// trip can mine for a while, and cancellation must interrupt it. A
-	// context stop is propagated back to the shared budget so the emitter's
-	// contextErr checks see it.
-	rbud.done = e.bud.done
-	rbud.ctxErr = e.bud.ctxErr
-	defer func() {
-		if rbud.ctxHit.Load() {
-			e.bud.ctxHit.Store(true)
-			e.bud.cancelled.Store(true)
-		}
-	}()
-	emitted := 0
-	mn := newMiner(e.m, e.p, e.kern, rbud)
-	mn.sink = func(b *Bicluster, _ int) bool {
-		emitted++
-		if !deliver || emitted <= skip {
-			return true
-		}
-		if !e.visit(b) {
-			return false
-		}
-		e.noteDelivery(c, emitted, b)
-		return true
-	}
-	mn.runFrom(c)
-	return mn.stats
-}
-
-// streamedCluster is one buffered cluster of a level-1 subtree, tagged with
-// the subtree-local node ordinal of its emission so the emitter can decide
-// whether the sequential miner, charged with the preceding subtrees' nodes,
-// would still have processed the emitting node.
-type streamedCluster struct {
-	b    *Bicluster
-	node int
+	return g.Result()
 }
 
 // subtree is the reordering buffer of one level-1 subtree: the mining worker
-// pushes clusters as it finds them, and the in-order emitter drains the
-// buffer once every earlier subtree has been settled.
+// pushes clusters as it finds them, each tagged with its subtree-local node
+// ordinal, and the in-order emitter drains the buffer once every earlier
+// subtree has been settled.
 type subtree struct {
 	mu       sync.Mutex
-	items    []streamedCluster
+	items    []SubtreeCluster
 	stats    Stats
 	complete bool          // runFrom finished without interruption
 	closed   bool          // no more pushes will arrive
@@ -496,7 +216,7 @@ func newSubtree() *subtree {
 // push is the worker-side miner sink.
 func (s *subtree) push(b *Bicluster, node int) bool {
 	s.mu.Lock()
-	s.items = append(s.items, streamedCluster{b: b, node: node})
+	s.items = append(s.items, SubtreeCluster{Cluster: b, Node: node})
 	s.mu.Unlock()
 	s.wake()
 	return true
@@ -522,7 +242,7 @@ func (s *subtree) wake() {
 // flag. Close happens under the same lock as the final push, so a take that
 // observes closed has observed every cluster. The returned slice aliases the
 // buffer: the worker only ever appends past its end, never rewrites it.
-func (s *subtree) take(from int) ([]streamedCluster, bool) {
+func (s *subtree) take(from int) ([]SubtreeCluster, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.items[from:], s.closed

@@ -33,8 +33,8 @@ type Params struct {
 	CustomGammas []float64
 
 	// MaxClusters, when positive, stops the search after that many clusters
-	// have been output. 0 means unlimited. The cap is global: MineParallel
-	// and MineParallelFunc enforce it across all workers and return exactly
+	// have been output. 0 means unlimited. The cap is global: a parallel
+	// MineWith run enforces it across all workers and returns exactly
 	// the clusters (and Stats) a truncated sequential Mine would.
 	MaxClusters int
 	// MaxNodes, when positive, bounds the number of search-tree nodes

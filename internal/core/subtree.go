@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"regcluster/internal/matrix"
 	"regcluster/internal/obs"
@@ -16,12 +15,13 @@ import (
 // a mining run — a representative chain lives entirely in the subtree of its
 // first condition, so subtrees are independent and can be mined anywhere, in
 // any order, by any process that holds the same matrix and Params. This file
-// exposes that unit: MineSubtree produces one subtree's clusters and Stats in
-// isolation, and SubtreeMerger reassembles any set of subtree partials into
-// the exact sequential output, enforcing the global MaxNodes/MaxClusters caps
-// through the same accounting the in-process parallel engine uses (see
-// engine.emit in parallel.go). Distributed output is therefore byte-identical
-// to Mine's for any placement of subtrees across workers.
+// exposes that unit: MineSubtreeFunc produces one subtree's clusters and
+// Stats in isolation, and SubtreeMerger reassembles subtrees into the exact
+// sequential output, enforcing the global MaxNodes/MaxClusters caps. The
+// merger is the only code that knows those rules: the in-process engine
+// (parallel.go) streams its workers' subtrees through it, and a distributed
+// coordinator offers it whole partials, so output is byte-identical to the
+// sequential miner's for any placement of subtrees across workers.
 
 // SubtreeCluster is one cluster found inside a subtree, tagged with the
 // subtree-local node ordinal of its emission (the miner's Stats.Nodes at that
@@ -88,26 +88,15 @@ func MineSubtreeFunc(ctx context.Context, m *matrix.Matrix, p Params, cond int, 
 	return mn.stats, nil
 }
 
-// MineSubtree is MineSubtreeFunc collecting into a SubtreePartial.
-func MineSubtree(ctx context.Context, m *matrix.Matrix, p Params, cond int, models []*rwave.Model) (*SubtreePartial, error) {
-	sp := &SubtreePartial{Cond: cond}
-	stats, err := MineSubtreeFunc(ctx, m, p, cond, models, func(sc SubtreeCluster) bool {
-		sp.Clusters = append(sp.Clusters, sc)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	sp.Stats = stats
-	return sp, nil
-}
-
-// SubtreeMerger reassembles complete subtree partials — produced by
-// MineSubtree anywhere, in any order — into the exact sequential mining
-// output. It mirrors the in-process emitter's accounting (engine.emit):
-// clusters are delivered in starting-condition order, DFS within a subtree;
-// the global MaxNodes/MaxClusters caps are enforced against the settled
-// prefix using each cluster's subtree-local node ordinal; and any truncation
+// SubtreeMerger is the one accountant of the sequential-prefix rules: it
+// reassembles level-1 subtrees — whole partials produced by MineSubtreeFunc
+// anywhere, in any order, or the in-process engine's per-cluster stream —
+// into the exact sequential mining output. Clusters are delivered in
+// starting-condition order, DFS within a subtree; the global MaxNodes/
+// MaxClusters caps are enforced against the settled prefix using each
+// cluster's subtree-local node ordinal; a resumed run suppresses the
+// clusters its checkpoint already delivered; checkpoints are emitted at
+// subtree boundaries plus every EveryClusters deliveries; and any truncation
 // (cap trip or visitor stop) re-mines the truncating subtree locally against
 // a budget pre-charged with the prefix totals, reproducing the truncated
 // sequential run's Stats exactly. Not safe for concurrent use; one goroutine
@@ -121,17 +110,24 @@ type SubtreeMerger struct {
 	ck    CheckpointConfig
 	sp    *obs.Span // optional trace parent for reconciliation reruns
 
-	next    int                     // first condition not yet folded
+	// halt, when set, stops the producers feeding this merger before a
+	// rerun takes over their work; a non-nil return fails the run instead.
+	// The in-process engine sets it to stop its worker pool.
+	halt func() error
+
+	next    int                     // the head: first condition not yet folded
+	taken   int                     // clusters of the head consumed so far, suppressed ones included
 	resume  int                     // the resumed subtree; its first `skip` clusters are suppressed
-	skip    int                     // remaining resume watermark of subtree `resume`
+	skip    int                     // resume watermark of subtree `resume`
 	pending map[int]*SubtreePartial // offered out of order, waiting for their turn
 
-	// Exact sequential accounting of the settled prefix, as in engine.emit.
+	// Exact sequential accounting of the settled prefix.
 	agg         Stats
 	cumNodes    int
 	cumClusters int
 
-	// Checkpoint emission state (see engine.noteDelivery/snapshot).
+	// Checkpoint emission state: ckFresh counts deliveries since the last
+	// snapshot; lastChain is the chain of the most recent delivery.
 	ckFresh   int
 	lastChain []int
 
@@ -142,16 +138,20 @@ type SubtreeMerger struct {
 // NewSubtreeMerger builds a merger over (m, p). The visitor receives clusters
 // on the Offer caller's goroutine; resume positions the merger after a prior
 // run's checkpoint (its prefix is never re-delivered), and ck emits new
-// snapshots exactly as the in-process engine would — at subtree boundaries
-// plus every EveryClusters deliveries. ctx bounds reconciliation reruns; nil
-// means background.
+// snapshots at subtree boundaries plus every EveryClusters deliveries. ctx
+// bounds reconciliation reruns; nil means background.
 func NewSubtreeMerger(ctx context.Context, m *matrix.Matrix, p Params, models []*rwave.Model, visit Visitor, resume *Checkpoint, ck CheckpointConfig) (*SubtreeMerger, error) {
-	if visit == nil {
-		return nil, fmt.Errorf("core: SubtreeMerger requires a visitor")
-	}
 	_, kern, err := resolveModels(m, p, models, nil)
 	if err != nil {
 		return nil, err
+	}
+	return newMerger(ctx, m, p, kern, visit, resume, ck)
+}
+
+// newMerger is NewSubtreeMerger over an already resolved kernel set.
+func newMerger(ctx context.Context, m *matrix.Matrix, p Params, kern []rwave.Kernel, visit Visitor, resume *Checkpoint, ck CheckpointConfig) (*SubtreeMerger, error) {
+	if visit == nil {
+		return nil, fmt.Errorf("core: SubtreeMerger requires a visitor")
 	}
 	g := &SubtreeMerger{ctx: ctx, m: m, p: p, kern: kern, visit: visit, ck: ck,
 		pending: make(map[int]*SubtreePartial)}
@@ -191,9 +191,11 @@ func (g *SubtreeMerger) Result() (Stats, error) { return g.agg, g.err }
 
 // Offer folds one complete subtree partial. Partials may arrive in any
 // order; out-of-order ones are parked until every earlier subtree has been
-// folded. Offer returns the merger's Done state; after a truncation or error
-// it stays done and further offers are no-ops. Offering a partial for an
-// already-folded subtree, a duplicate, or one marked Truncated is an error.
+// folded, and each one's turn runs the same per-cluster path the in-process
+// engine streams through. Offer returns the merger's Done state; after a
+// truncation or error it stays done and further offers are no-ops. Offering
+// a partial for an already-folded subtree, a duplicate, or one marked
+// Truncated is an error.
 func (g *SubtreeMerger) Offer(part *SubtreePartial) (bool, error) {
 	if g.done {
 		return true, g.err
@@ -210,12 +212,19 @@ func (g *SubtreeMerger) Offer(part *SubtreePartial) (bool, error) {
 	}
 	g.pending[c] = part
 	for !g.done {
-		nxt, ok := g.pending[g.next]
+		head, ok := g.pending[g.next]
 		if !ok {
 			break
 		}
 		delete(g.pending, g.next)
-		g.foldOne(nxt)
+		for _, sc := range head.Clusters {
+			if g.offerCluster(sc) {
+				break
+			}
+		}
+		if !g.done {
+			g.finishHead(head.Stats, true)
+		}
 	}
 	if g.done {
 		g.pending = nil
@@ -223,55 +232,95 @@ func (g *SubtreeMerger) Offer(part *SubtreePartial) (bool, error) {
 	return g.done, g.err
 }
 
-// foldOne settles subtree part.Cond into the prefix, replicating the emitter
-// loop of engine.emit for a complete subtree.
-func (g *SubtreeMerger) foldOne(part *SubtreePartial) {
-	c := part.Cond
+// offerCluster consumes the next cluster of the head subtree, in its DFS
+// order, and reports whether the run settled on it:
+//
+//   - a cluster is admitted only if the node that emitted it lies within the
+//     global node cap (cumNodes + local node ordinal <= MaxNodes) — the exact
+//     set of nodes the sequential miner processes;
+//   - the first skip clusters of a resumed subtree count toward every cap,
+//     exactly as they did originally, but are not re-delivered;
+//   - a visitor stop right after a cluster is equivalent to a MaxClusters cap
+//     at the delivered total;
+//   - the cluster whose admission reaches MaxClusters is delivered, then the
+//     run truncates, as in the sequential miner.
+func (g *SubtreeMerger) offerCluster(sc SubtreeCluster) bool {
+	c := g.next
 	nodeCap, clusterCap := g.p.MaxNodes, g.p.MaxClusters
-	skip := 0
-	if c == g.resume {
-		skip = g.skip
+	if nodeCap > 0 && g.cumNodes+sc.Node > nodeCap {
+		g.truncate(c, g.taken, clusterCap)
+		return true
 	}
-	taken := 0
-	for _, sc := range part.Clusters {
-		if nodeCap > 0 && g.cumNodes+sc.Node > nodeCap {
-			// The node that emitted this cluster lies beyond the global cap:
-			// the sequential miner stops before it.
-			g.truncate(c, taken, clusterCap)
-			return
+	g.taken++
+	if g.taken > g.headSkip() {
+		if !g.visit(sc.Cluster) {
+			g.truncate(c, g.taken, g.cumClusters+g.taken)
+			return true
 		}
-		taken++
-		if taken > skip {
-			if !g.visit(sc.Cluster) {
-				// A visitor stop right after this cluster is equivalent to a
-				// MaxClusters cap at the delivered total.
-				g.truncate(c, taken, g.cumClusters+taken)
-				return
-			}
-			g.noteDelivery(c, taken, sc.Cluster)
-		}
-		if clusterCap > 0 && g.cumClusters+taken >= clusterCap {
-			g.truncate(c, taken, clusterCap)
-			return
-		}
+		g.noteDelivery(c, g.taken, sc.Cluster)
 	}
-	if nodeCap > 0 && g.cumNodes+part.Stats.Nodes > nodeCap {
+	if clusterCap > 0 && g.cumClusters+g.taken >= clusterCap {
+		g.truncate(c, g.taken, clusterCap)
+		return true
+	}
+	return false
+}
+
+// finishHead settles the head subtree once its producer finished with
+// isolated Stats st, every cluster having passed through offerCluster.
+// complete is false when a shared-budget stop interrupted the producer: its
+// remainder is then schedule-dependent, so the subtree is re-mined against
+// the exact continuation budget, delivering the clusters not yet consumed.
+// That rerun either truncates at the precise sequential stop point, or
+// completes — proving the interruption was spurious overshoot — and the
+// merge moves on.
+func (g *SubtreeMerger) finishHead(st Stats, complete bool) {
+	c := g.next
+	if complete && g.p.MaxNodes > 0 && g.cumNodes+st.Nodes > g.p.MaxNodes {
 		// The node cap fires inside this subtree after its last cluster.
-		g.truncate(c, taken, clusterCap)
+		g.truncate(c, g.taken, g.p.MaxClusters)
 		return
 	}
-	g.account(part.Stats)
-	g.next = c + 1
+	if !complete {
+		// A producer interrupted before the resume watermark still owes the
+		// suppression of every cluster the pre-crash run delivered.
+		skip := max(g.taken, g.headSkip())
+		var err error
+		if st, err = g.rerun(c, skip, true, g.p.MaxClusters); err != nil {
+			g.fail(err)
+			return
+		}
+	}
+	g.agg.Add(st)
+	g.cumNodes += st.Nodes
+	g.cumClusters += st.Clusters
+	if st.Truncated {
+		g.sp.Add("budget_trips", 1)
+		g.done = true
+		return
+	}
+	g.next, g.taken = c+1, 0
 	if g.next >= g.m.Cols() {
 		g.done = true
 	}
 	if g.ck.enabled() {
+		// After a boundary a resumed run starts cleanly at the next subtree.
 		g.snapshot(g.next, 0)
 	}
 }
 
-// noteDelivery mirrors engine.noteDelivery: cadence checkpoints keyed to the
-// subtree watermark of the delivery.
+// headSkip is the resume watermark that applies to the head subtree.
+func (g *SubtreeMerger) headSkip() int {
+	if g.next == g.resume {
+		return g.skip
+	}
+	return 0
+}
+
+// noteDelivery tracks one delivered cluster for checkpointing: it advances
+// the cadence counter, remembers the DFS chain, and snapshots when the
+// configured number of deliveries has accumulated. taken is the sequential
+// within-subtree ordinal of the delivery, i.e. the subtree watermark.
 func (g *SubtreeMerger) noteDelivery(c, taken int, b *Bicluster) {
 	if !g.ck.enabled() {
 		return
@@ -283,6 +332,8 @@ func (g *SubtreeMerger) noteDelivery(c, taken int, b *Bicluster) {
 	}
 }
 
+// snapshot emits one Checkpoint positioned before the skip-th undelivered
+// cluster of subtree nextCond.
 func (g *SubtreeMerger) snapshot(nextCond, skip int) {
 	g.ckFresh = 0
 	g.sp.Add("checkpoints", 1)
@@ -293,72 +344,70 @@ func (g *SubtreeMerger) snapshot(nextCond, skip int) {
 	g.ck.OnCheckpoint(ck)
 }
 
-func (g *SubtreeMerger) account(st Stats) {
-	g.agg.Add(st)
-	g.cumNodes += st.Nodes
-	g.cumClusters += st.Clusters
-}
-
-// truncate settles a truncation detected while folding subtree c, after
-// `taken` of its clusters were admitted: the subtree is re-mined locally
-// against the pre-charged continuation budget solely to reproduce the
-// truncated sequential run's Stats. No further clusters are delivered.
+// truncate settles a truncation detected in subtree c after `taken` of its
+// clusters were admitted: the subtree is re-mined locally against the
+// pre-charged continuation budget solely to reproduce the truncated
+// sequential run's Stats. No further clusters are delivered.
 func (g *SubtreeMerger) truncate(c, taken, effClusterCap int) {
 	g.done = true
 	g.sp.Add("budget_trips", 1)
+	st, err := g.rerun(c, taken, false, effClusterCap)
+	if err != nil {
+		g.fail(err)
+		return
+	}
+	g.agg.Add(st)
+}
+
+// rerun re-mines subtree c single-threaded against a budget whose counters
+// are pre-charged with the settled prefix totals, making its behavior —
+// truncation point, cluster sequence and every Stats counter — identical to
+// the sequential miner's continuation into this subtree. The producers stop
+// first (see halt). The first skip clusters were already consumed and are
+// suppressed; when deliver is set the remainder streams to the visitor,
+// whose stop truncates the rerun exactly as it would the sequential miner.
+func (g *SubtreeMerger) rerun(c, skip int, deliver bool, clusterCap int) (Stats, error) {
+	if g.halt != nil {
+		if err := g.halt(); err != nil {
+			return Stats{}, err
+		}
+	}
 	rsp := g.sp.Start("rerun")
 	if rsp != nil {
 		rsp.SetInt("cond", int64(c))
-		rsp.SetInt("skip", int64(taken))
+		rsp.SetInt("skip", int64(skip))
+		if deliver {
+			rsp.SetAttr("deliver", "true")
+		}
 		defer rsp.End()
 	}
-	rbud := prechargedBudget(g.p.MaxNodes, effClusterCap, g.cumNodes, g.cumClusters)
+	rbud := prechargedBudget(g.p.MaxNodes, clusterCap, g.cumNodes, g.cumClusters)
 	if g.ctx != nil {
+		// Reconciliation can mine for a while; cancellation must reach it.
 		rbud.done = g.ctx.Done()
 		rbud.ctxErr = g.ctx.Err
 	}
+	emitted := 0
 	mn := newMiner(g.m, g.p, g.kern, rbud)
-	mn.sink = func(*Bicluster, int) bool { return true }
+	mn.sink = func(b *Bicluster, _ int) bool {
+		emitted++
+		if !deliver || emitted <= skip {
+			return true
+		}
+		if !g.visit(b) {
+			return false
+		}
+		g.noteDelivery(c, emitted, b)
+		return true
+	}
 	mn.runFrom(c)
 	if err := rbud.contextErr(); err != nil {
-		g.err = err
-		g.agg = Stats{}
-		return
+		return Stats{}, err
 	}
-	g.agg.Add(mn.stats)
+	return mn.stats, nil
 }
 
-// MergeSubtreePartials folds a full set of subtree partials (one per
-// condition, any order) into a Result identical to Mine(m, p)'s — including
-// cap truncation, which re-mines the truncating subtree locally. It is the
-// batch convenience over SubtreeMerger.
-func MergeSubtreePartials(m *matrix.Matrix, p Params, models []*rwave.Model, partials []*SubtreePartial) (*Result, error) {
-	res := &Result{}
-	g, err := NewSubtreeMerger(nil, m, p, models, func(b *Bicluster) bool {
-		res.Clusters = append(res.Clusters, b)
-		return true
-	}, nil, CheckpointConfig{})
-	if err != nil {
-		return nil, err
-	}
-	sorted := append([]*SubtreePartial(nil), partials...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Cond < sorted[j].Cond })
-	for _, part := range sorted {
-		done, err := g.Offer(part)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
-	}
-	if !g.Done() {
-		return nil, fmt.Errorf("core: missing subtree partial for condition %d", g.NextCond())
-	}
-	stats, err := g.Result()
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stats
-	return res, nil
+// fail settles the run with err; no Stats are reported.
+func (g *SubtreeMerger) fail(err error) {
+	g.done, g.err, g.agg = true, err, Stats{}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -31,7 +32,7 @@ func mineAllSubtrees(t *testing.T, m *matrix.Matrix, p Params) []*SubtreePartial
 	}
 	parts := make([]*SubtreePartial, 0, m.Cols())
 	for c := m.Cols() - 1; c >= 0; c-- {
-		part, err := MineSubtree(context.Background(), m, p, c, models)
+		part, err := mineSubtree(context.Background(), m, p, c, models)
 		if err != nil {
 			t.Fatalf("subtree %d: %v", c, err)
 		}
@@ -41,6 +42,47 @@ func mineAllSubtrees(t *testing.T, m *matrix.Matrix, p Params) []*SubtreePartial
 		parts = append(parts, part)
 	}
 	return parts
+}
+
+// mineSubtree mines one level-1 subtree in isolation into a partial, as a
+// distributed worker ships it.
+func mineSubtree(ctx context.Context, m *matrix.Matrix, p Params, cond int, models []*rwave.Model) (*SubtreePartial, error) {
+	part := &SubtreePartial{Cond: cond}
+	stats, err := MineSubtreeFunc(ctx, m, p, cond, models, func(sc SubtreeCluster) bool {
+		part.Clusters = append(part.Clusters, sc)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	part.Stats = stats
+	return part, nil
+}
+
+// mergePartials folds a full set of subtree partials (one per condition, any
+// order) through a SubtreeMerger into a Result; a missing partial is an
+// error.
+func mergePartials(m *matrix.Matrix, p Params, models []*rwave.Model, partials []*SubtreePartial) (*Result, error) {
+	res := &Result{}
+	g, err := NewSubtreeMerger(context.Background(), m, p, models, func(b *Bicluster) bool {
+		res.Clusters = append(res.Clusters, b)
+		return true
+	}, nil, CheckpointConfig{})
+	if err != nil {
+		return nil, err
+	}
+	for _, part := range partials {
+		if _, err := g.Offer(part); err != nil {
+			return nil, err
+		}
+	}
+	if !g.Done() {
+		return nil, fmt.Errorf("missing subtree partial for condition %d", g.NextCond())
+	}
+	if res.Stats, err = g.Result(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 func clustersEqual(t *testing.T, want, got []*Bicluster) {
@@ -89,7 +131,7 @@ func TestMergeSubtreePartialsMatchesMine(t *testing.T) {
 			// same base parameters in a real coordinator. Mine them per-case
 			// here to keep the test self-contained.
 			parts := mineAllSubtrees(t, m, p)
-			got, err := MergeSubtreePartials(m, p, nil, parts)
+			got, err := mergePartials(m, p, nil, parts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,16 +210,16 @@ func TestSubtreeMergerResume(t *testing.T) {
 	}
 }
 
-// A visitor stop inside the merger must reproduce the sequential MineFunc
+// A visitor stop inside the merger must reproduce the sequential visitor-stop
 // truncation exactly.
 func TestSubtreeMergerVisitorStopMatchesMineFunc(t *testing.T) {
 	m, p := subtreeTestMatrix(t)
 	const stopAfter = 23
 	var want []*Bicluster
-	wantStats, err := MineFunc(m, p, func(b *Bicluster) bool {
+	wantStats, err := statsOf(MineWith(context.Background(), m, p, Options{Workers: 1, Visit: func(b *Bicluster) bool {
 		want = append(want, b)
 		return len(want) < stopAfter
-	})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +280,7 @@ func TestSubtreeMergerRejectsBadPartials(t *testing.T) {
 	if _, err := g.Offer(&SubtreePartial{Cond: 3}); err == nil {
 		t.Error("duplicate pending partial accepted")
 	}
-	part, err := MineSubtree(context.Background(), m, p, 0, models)
+	part, err := mineSubtree(context.Background(), m, p, 0, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +292,7 @@ func TestSubtreeMergerRejectsBadPartials(t *testing.T) {
 		t.Error("already-folded partial accepted")
 	}
 	// A missing partial surfaces as an explicit merge error in the batch API.
-	if _, err := MergeSubtreePartials(m, p, models, []*SubtreePartial{part}); err == nil {
+	if _, err := mergePartials(m, p, models, []*SubtreePartial{part}); err == nil {
 		t.Error("incomplete partial set merged without error")
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"regcluster/internal/core"
+	"regcluster/internal/faultinject"
 	"regcluster/internal/matrix"
 	"regcluster/internal/obs"
 )
@@ -189,7 +191,7 @@ type MineRequest struct {
 	Params    core.Params
 	Models    []*core.RWaveModel    // optional prebuilt RWave models
 	Resume    *core.Checkpoint      // optional resume position
-	Ck        core.CheckpointConfig // checkpoint emission, as in MineParallelFuncResumable
+	Ck        core.CheckpointConfig // checkpoint emission, as Options.Checkpoint of core.MineWith
 	Span      *obs.Span             // optional trace parent
 	// LocalWorkers overrides Config.LocalWorkers for this run when nonzero
 	// (negative means none).
@@ -198,8 +200,10 @@ type MineRequest struct {
 
 // Mine runs req distributed and streams merged clusters to visit in exact
 // sequential order. It blocks until the run settles and returns Stats
-// byte-identical to a single-node MineParallelFuncResumable of the same
-// request, regardless of worker count, placement, or mid-run worker loss.
+// byte-identical to a single-node core.MineWith of the same request
+// (Resume, Checkpoint and Models included), regardless of worker count,
+// placement, or mid-run worker loss. A panic on a local mining loop fails
+// the run with a *core.PanicError.
 func (c *Coordinator) Mine(ctx context.Context, req MineRequest, visit core.Visitor) (core.Stats, error) {
 	if req.Matrix == nil {
 		return core.Stats{}, fmt.Errorf("dist: MineRequest requires a matrix")
@@ -548,7 +552,16 @@ func (c *Coordinator) localWorker(ctx context.Context, r *run) {
 	}
 }
 
+// mineLocal mines one leased subtree in process. A miner panic is contained
+// here, never crossing the goroutine: the run fails with a *core.PanicError
+// carrying the panicking goroutine's stack, as the in-process engine's does.
 func (c *Coordinator) mineLocal(ctx context.Context, r *run, ls *leaseState) {
+	defer func() {
+		if v := recover(); v != nil {
+			r.fail(&core.PanicError{Value: v, Stack: debug.Stack()})
+		}
+	}()
+	_ = faultinject.Hook("core.mine.subtree") // panic/delay injection for containment tests
 	var batch []core.SubtreeCluster
 	emitted := 0
 	stats, err := core.MineSubtreeFunc(ctx, r.m, r.p, ls.unit.cond, r.models, func(sc core.SubtreeCluster) bool {

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -65,6 +66,19 @@ func TestDistributedMineByteIdenticalAcrossWorkers(t *testing.T) {
 	for i := range workers {
 		workers[i] = NewWorker(WorkerConfig{Coordinator: srv.URL, Name: fmt.Sprintf("test-worker-%d", i)})
 		go workers[i].Run(wctx) //nolint:errcheck // cancelled at test end
+	}
+
+	// Both workers must be polling before the run queues its units, and the
+	// leases must outlast the 25 ms long-poll tick, or one worker can drain
+	// the whole run before the other's next poll. A pass-through delay per
+	// mined cluster (the fault is never due) slows leases without changing
+	// what they mine.
+	t.Cleanup(faultinject.Reset)
+	faultinject.Arm("dist.worker.mine", faultinject.Spec{Delay: 5 * time.Millisecond, After: math.MaxInt32})
+	for deadline := time.Now().Add(10 * time.Second); c.WorkersConnected() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers connected: %d of 2", c.WorkersConnected())
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -214,11 +228,15 @@ func TestKilledWorkerResumesFromReceivedWatermark(t *testing.T) {
 			time.Sleep(3 * time.Millisecond)
 			continue
 		}
-		part, err := core.MineSubtree(ctx, m, p, ls.unit.cond, models)
+		var clusters []core.SubtreeCluster
+		stats, err := core.MineSubtreeFunc(ctx, m, p, ls.unit.cond, models, func(sc core.SubtreeCluster) bool {
+			clusters = append(clusters, sc)
+			return true
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rest := part.Clusters[ls.skip:]
+		rest := clusters[ls.skip:]
 		if !killed && ls.skip == 0 && len(rest) >= 2 {
 			// Ship half, then vanish: no Done, no further heartbeats.
 			killed = true
@@ -236,7 +254,7 @@ func TestKilledWorkerResumesFromReceivedWatermark(t *testing.T) {
 		}
 		resp := c.progress(heartbeatRequest{Worker: "w1", Lease: ls.id, Clusters: rest,
 			Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: ls.skip + len(rest)},
-			Done: true, Stats: &part.Stats})
+			Done: true, Stats: &stats})
 		if !resp.OK || resp.Revoked {
 			t.Fatalf("completion rejected: %+v", resp)
 		}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -102,12 +103,7 @@ func Figure7(axis Figure7Axis, points []int, seed int64, workers int) ([]SweepPo
 		}
 		p := MiningDefaults(cfg.Genes)
 		start := time.Now()
-		var res *core.Result
-		if workers == 1 {
-			res, err = core.Mine(m, p)
-		} else {
-			res, err = core.MineParallel(m, p, workers)
-		}
+		res, err := core.MineWith(context.Background(), m, p, core.Options{Workers: workers})
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,8 +12,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"regcluster/internal/core"
+	"regcluster/internal/faultinject"
 	"regcluster/internal/matrix"
 	"regcluster/internal/report"
 )
@@ -182,7 +186,7 @@ func TestIncrementalJobEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := core.MineParallel(grown, p, 2)
+	cold, err := core.MineWith(context.Background(), grown, p, core.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +250,51 @@ func TestIncrementalJobEndToEnd(t *testing.T) {
 		if reflect.DeepEqual(g.Before.Members, g.After.Members) {
 			t.Fatalf("grown entry with identical members: %+v", g)
 		}
+	}
+}
+
+// TestSettleOrdersPublishBeforeFlip: a job's stream ends once the job is
+// terminal, and by then everything settle keeps in memory is published, even
+// while the durable writes lag behind (persist.result delayed): a diff sent
+// right after the summary line answers 200, and the tenant's usage already
+// counts the job.
+func TestSettleOrdersPublishBeforeFlip(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	srv, ts := openTestServer(t, Config{DataDir: t.TempDir(), Logf: t.Logf})
+	p := incrParams()
+	parentID := uploadMatrix(t, ts, incrParentMatrix(), "parent")
+	pj := submitJob(t, ts, submitRequest{Dataset: parentID, Params: p})
+	if v := waitTerminal(t, ts, pj.ID); v.Status != StatusDone {
+		t.Fatalf("parent job ended %s: %s", v.Status, v.Error)
+	}
+	child, status := appendDeltaHTTP(t, ts, parentID, "", incrDeltaMatrix())
+	if status != http.StatusCreated {
+		t.Fatalf("append status %d", status)
+	}
+
+	// A pass-through delay on every result write: the fault is never due.
+	faultinject.Arm("persist.result", faultinject.Spec{Delay: 200 * time.Millisecond, After: math.MaxInt32})
+	cj := submitJob(t, ts, submitRequest{Dataset: child.ID, Params: p})
+	if _, summary := streamClusters(t, ts, cj.ID); summary.Status != StatusDone {
+		t.Fatalf("child stream summary %+v", summary)
+	}
+	resp, err := http.Get(ts.URL + "/datasets/" + child.ID + "/diff/" + parentID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("diff right after the stream ended: status %d", resp.StatusCode)
+	}
+	u, _ := getTenantUsage(t, ts, AnonymousTenant)
+	if u.Usage.Completed != 2 {
+		t.Fatalf("usage right after the stream ended counts %d completed jobs, want 2", u.Usage.Completed)
+	}
+	// Let the delayed durable writes finish before the server closes.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 

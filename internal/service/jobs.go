@@ -62,9 +62,12 @@ type Job struct {
 
 	// tn is the owning tenant (never nil once submitted: keyless submissions
 	// belong to the anonymous tenant). nodeCost is the reservation this job
-	// holds in the tenant's aggregate node-budget pool, released at settle.
+	// holds in the tenant's aggregate node-budget pool, released at settle;
+	// entry is its scheduler queue entry — its reservation of a mining slot —
+	// nil only while a cache hit is expected to settle it.
 	tn       *tenant
 	nodeCost int64
+	entry    *schedEntry
 
 	obs core.Observer // live node/cluster counters while mining
 
@@ -297,7 +300,8 @@ type jobManager struct {
 	// Durability plumbing; wal/store are nil on an in-memory server.
 	wal     *journal
 	store   *store
-	ckEvery int // checkpoint cadence in delivered clusters
+	ckEvery int        // checkpoint cadence in delivered clusters
+	usageMu sync.Mutex // orders usage snapshots into the journal (journalUsage)
 	logf    func(format string, args ...any)
 
 	// Observability plumbing set by the Server: log is the structured logger
@@ -367,29 +371,31 @@ func (m *jobManager) submit(ds *Dataset, p core.Params, workers int, timeout tim
 	return m.submitAs(m.tenants.anonymous, ds, p, workers, timeout)
 }
 
-// admit runs the tenant's admission checks for one would-mine submission:
-// the token-bucket rate limit, the aggregate node-budget pool, and the
-// scheduler's queue/concurrency bounds. On success the caller holds one
-// scheduler reservation plus a nodeCost-unit pool reservation; on failure it
-// holds nothing and the returned error is an *admissionError carrying the
-// HTTP status and Retry-After.
-func (m *jobManager) admit(tn *tenant, p core.Params, cached bool) (nodeCost int64, err error) {
+// admit runs the tenant's admission checks for one would-mine submission of
+// j: the token-bucket rate limit, the aggregate node-budget pool, and the
+// scheduler's queue/concurrency bounds. On success j holds its scheduler
+// queue entry plus a nodeCost-unit pool reservation; on failure it holds
+// nothing and the returned error is an *admissionError carrying the HTTP
+// status and Retry-After.
+func (m *jobManager) admit(j *Job, cached bool) error {
 	if err := faultinject.Hook("admission.submit"); err != nil {
-		return 0, err
+		return err
 	}
+	tn := j.tn
 	if tn.bucket != nil {
 		if ok, retry := tn.bucket.take(1); !ok {
-			return 0, &admissionError{status: 429, retryAfter: retry,
+			return &admissionError{status: 429, retryAfter: retry,
 				msg: fmt.Sprintf("tenant %s: submission rate limit exceeded", tn.id)}
 		}
 	}
 	if cached {
 		// A cached submission settles instantly without a slot or any node
 		// budget: the rate limit is the only check that applies.
-		return 0, nil
+		return nil
 	}
+	var nodeCost int64
 	if tn.nodes != nil {
-		nodeCost = int64(p.MaxNodes)
+		nodeCost = int64(j.Params.MaxNodes)
 		if nodeCost <= 0 {
 			// Defense in depth: the HTTP layer clamps unlimited submissions
 			// to the pool capacity before keying the cache; a direct caller
@@ -397,18 +403,26 @@ func (m *jobManager) admit(tn *tenant, p core.Params, cached bool) (nodeCost int
 			nodeCost = tn.nodes.Capacity()
 		}
 		if !tn.nodes.TryReserve(nodeCost) {
-			return 0, &admissionError{status: 429, retryAfter: m.sched.retryAfter(1),
+			return &admissionError{status: 429, retryAfter: m.sched.retryAfter(1),
 				msg: fmt.Sprintf("tenant %s: node budget exhausted (%d of %d in flight)",
 					tn.id, tn.nodes.InUse(), tn.nodes.Capacity())}
 		}
 	}
-	if err := m.sched.reserve(tn, 1, false); err != nil {
-		if tn.nodes != nil {
-			tn.nodes.Release(nodeCost)
-		}
-		return 0, err
+	e, err := m.sched.enqueue(j, false)
+	if err != nil {
+		tn.nodes.Release(nodeCost)
+		return err
 	}
-	return nodeCost, nil
+	j.entry, j.nodeCost = e, nodeCost
+	return nil
+}
+
+// unadmit returns what admit granted j when it will never run.
+func (m *jobManager) unadmit(j *Job) {
+	if j.entry != nil {
+		m.sched.withdraw(j.entry)
+	}
+	j.tn.nodes.Release(j.nodeCost)
 }
 
 // noteRejected accounts one 429 on the tenant and the global metrics.
@@ -429,39 +443,33 @@ func (m *jobManager) submitAs(tn *tenant, ds *Dataset, p core.Params, workers in
 	}
 	key := cacheKey(ds.ID, p)
 	_, cached := m.cache.get(key)
-	nodeCost, err := m.admit(tn, p, cached)
-	if err != nil {
+	j := &Job{
+		Dataset: ds,
+		Params:  p,
+		Workers: workers,
+		Timeout: timeout,
+		tn:      tn,
+		status:  StatusQueued,
+		changed: make(chan struct{}),
+		done:    make(chan struct{}),
+	}
+	if err := m.admit(j, cached); err != nil {
 		var adm *admissionError
 		if errors.As(err, &adm) {
 			m.noteRejected(tn)
 		}
 		return nil, err
 	}
-	reserved := !cached
 
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		if reserved {
-			m.sched.unreserve(tn, 1)
-			tn.nodes.Release(nodeCost)
-		}
+		m.unadmit(j)
 		return nil, ErrDraining
 	}
 	m.seq++
-	j := &Job{
-		ID:       fmt.Sprintf("job-%06d", m.seq),
-		Dataset:  ds,
-		Params:   p,
-		Workers:  workers,
-		Timeout:  timeout,
-		tn:       tn,
-		nodeCost: nodeCost,
-		status:   StatusQueued,
-		created:  time.Now().UTC(),
-		changed:  make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	j.ID = fmt.Sprintf("job-%06d", m.seq)
+	j.created = time.Now().UTC()
 	if m.trace {
 		j.startTrace()
 	}
@@ -475,22 +483,21 @@ func (m *jobManager) submitAs(tn *tenant, ds *Dataset, p core.Params, workers in
 	pp := p
 	m.journalAppend(journalRecord{Type: recSubmit, Job: j.ID, Seq: seq, Tenant: tn.id,
 		Dataset: ds.ID, Params: &pp, Workers: workers, TimeoutMS: timeout.Milliseconds()})
-	m.launch(j, reserved)
+	m.launch(j)
 	return j, nil
 }
 
 // launch settles a job from the cache or starts its mining goroutine. It is
-// shared by submit and boot-time recovery. reserved reports whether the job
-// holds a scheduler reservation: a cache hit settles without ever queueing,
-// so the reservation (and any node-budget charge) is returned immediately.
-func (m *jobManager) launch(j *Job, reserved bool) {
+// shared by submit and boot-time recovery. A cache hit settles without
+// mining, so a queue entry it holds is withdrawn and any node-budget charge
+// returned immediately.
+func (m *jobManager) launch(j *Job) {
 	key := cacheKey(j.Dataset.ID, j.Params)
 	if res, ok := m.cache.get(key); ok {
-		if reserved {
-			m.sched.unreserve(j.tn, 1)
-			j.tn.nodes.Release(j.nodeCost)
-		}
+		m.unadmit(j)
 		m.metrics.CacheHits.Add(1)
+		// Charge the ledger before the job is visibly done, as settle does.
+		j.tn.account(TenantUsage{Completed: 1, Clusters: int64(len(res.clusters))})
 		j.queueSpan.End()
 		if j.root != nil {
 			j.root.SetAttr("status", string(StatusDone))
@@ -509,11 +516,15 @@ func (m *jobManager) launch(j *Job, reserved bool) {
 		j.mu.Unlock()
 		st := res.stats
 		m.journalAppend(journalRecord{Type: recDone, Job: j.ID, CacheKey: key, Cached: true, Stats: &st})
-		usage := j.tn.account(TenantUsage{Completed: 1, Clusters: int64(len(res.clusters))})
-		m.journalUsage(j.tn, usage)
+		m.journalUsage(j.tn)
 		return
 	}
 	m.metrics.CacheMisses.Add(1)
+	if j.entry == nil {
+		// Admitted as a cache hit whose entry was evicted since: the job
+		// still mines, queueing without a second admission.
+		j.entry, _ = m.sched.enqueue(j, true)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j.mu.Lock()
 	j.cancel = cancel
@@ -524,9 +535,16 @@ func (m *jobManager) launch(j *Job, reserved bool) {
 
 // journalUsage appends the tenant's cumulative usage snapshot. Usage records
 // are cumulative, so replay keeps only the last one per tenant and a lost
-// append costs at most the delta since the previous settlement.
-func (m *jobManager) journalUsage(tn *tenant, usage TenantUsage) {
-	u := usage
+// append costs at most the delta since the previous settlement. The snapshot
+// is read at append time under usageMu, so a later record never carries an
+// older ledger than an earlier one.
+func (m *jobManager) journalUsage(tn *tenant) {
+	if m.wal == nil {
+		return
+	}
+	m.usageMu.Lock()
+	defer m.usageMu.Unlock()
+	u := tn.usageSnapshot()
 	m.journalAppend(journalRecord{Type: recUsage, Tenant: tn.id, Usage: &u})
 }
 
@@ -534,7 +552,7 @@ func (m *jobManager) journalUsage(tn *tenant, usage TenantUsage) {
 // clusters already delivered before the crash, plus the snapshot to resume
 // from. Runs before the server accepts traffic. Recovery bypasses admission
 // — journaled work was admitted once and is never re-rejected — but still
-// takes a (forced) scheduler reservation so fairness accounting balances.
+// takes a (forced) queue entry so fairness accounting balances.
 func (m *jobManager) recover(j *Job) {
 	if m.trace {
 		j.startTrace()
@@ -542,13 +560,13 @@ func (m *jobManager) recover(j *Job) {
 	if j.tn == nil {
 		j.tn = m.tenants.anonymous
 	}
-	_ = m.sched.reserve(j.tn, 1, true)
+	j.entry, _ = m.sched.enqueue(j, true)
 	m.mu.Lock()
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.mu.Unlock()
 	m.metrics.Recoveries.Add(1)
-	m.launch(j, true)
+	m.launch(j)
 }
 
 // restoreTerminal installs the shell of a job that had already settled before
@@ -568,7 +586,7 @@ func (m *jobManager) restoreTerminal(j *Job) {
 func (m *jobManager) run(ctx context.Context, j *Job, key string) {
 	defer m.running.Done()
 	qstart := time.Now()
-	if err := m.sched.acquire(ctx, j); err != nil {
+	if err := m.sched.acquire(ctx, j.entry); err != nil {
 		m.settle(j, key, core.Stats{}, err)
 		return
 	}
@@ -726,7 +744,12 @@ func (m *jobManager) mine(ctx context.Context, j *Job) (core.Stats, error) {
 			LocalWorkers: m.distLocalWorkers,
 		}, visit)
 	}
-	return core.MineParallelFuncResumableWithModels(ctx, mat, j.Params, j.Workers, visit, &j.obs, resume, ck, models)
+	res, err := core.MineWith(ctx, mat, j.Params, core.Options{Workers: j.Workers, Visit: visit,
+		Observer: &j.obs, Resume: resume, Checkpoint: ck, Models: models})
+	if err != nil {
+		return core.Stats{}, err
+	}
+	return res.Stats, nil
 }
 
 // incrPlan holds everything a delta-lineage job needs to take the
@@ -834,49 +857,76 @@ func isTransient(err error) bool {
 // is deterministic and therefore cacheable. A worker panic surfaces as
 // failed with the captured stack; shutdown-driven cancellation surfaces as
 // interrupted, journaled with the resume checkpoint.
+//
+// Everything in memory is published before the status flips: a reader that
+// sees the job terminal — its stream ending, a /diff against it, its
+// tenant's /usage, its trace or log — also sees its cached result, ledger
+// charge, released node budget, closed spans and slow-job warning. The
+// durable writes follow the flip, so a client is never kept waiting on them.
 func (m *jobManager) settle(j *Job, key string, stats core.Stats, err error) {
 	var perr *core.PanicError
-	j.mu.Lock()
-	j.stats = stats
-	j.finished = time.Now().UTC()
+	var status JobStatus
+	var errMsg string
+	shed := false
 	switch {
 	case err == nil:
-		j.status = StatusDone
+		status = StatusDone
 	case errors.As(err, &perr):
-		j.status = StatusFailed
-		j.err = perr.Error()
-		j.stack = string(perr.Stack)
+		status = StatusFailed
+		errMsg = perr.Error()
 	case errors.Is(err, errShedOverload):
-		j.status = StatusCancelled
-		j.err = "shed by overload"
-		j.shed = true
+		status = StatusCancelled
+		errMsg = "shed by overload"
+		shed = true
 	case errors.Is(err, context.Canceled):
 		if m.draining.Load() {
-			j.status = StatusInterrupted
-			j.err = "interrupted by shutdown"
+			status = StatusInterrupted
+			errMsg = "interrupted by shutdown"
 		} else {
-			j.status = StatusCancelled
-			j.err = "cancelled"
+			status = StatusCancelled
+			errMsg = "cancelled"
 		}
 	case errors.Is(err, context.DeadlineExceeded):
-		j.status = StatusFailed
-		j.err = "deadline exceeded"
+		status = StatusFailed
+		errMsg = "deadline exceeded"
 	default:
-		j.status = StatusFailed
-		j.err = err.Error()
+		status = StatusFailed
+		errMsg = err.Error()
 	}
-	status := j.status
-	shed := j.shed
-	errMsg := j.err
+	j.mu.Lock()
 	clusters := j.clusters
 	ckpt := j.lastCkpt
 	queuedFor, ranFor := j.queuedFor, j.ranFor
 	attempts := j.attempts
-	total := j.finished.Sub(j.created)
-	j.bump()
-	close(j.done)
 	j.mu.Unlock()
 
+	res := cachedResult{clusters: clusters, stats: stats}
+	switch status {
+	case StatusDone:
+		m.metrics.JobsFinished.Add(1)
+		m.metrics.NodesVisited.Add(int64(stats.Nodes))
+		m.cache.put(key, res)
+	case StatusCancelled:
+		if !shed { // JobsShed was counted by the shedder
+			m.metrics.JobsCancelled.Add(1)
+		}
+	case StatusFailed:
+		if perr != nil {
+			m.metrics.PanicsRecovered.Add(1)
+			m.logf("service: job %s failed on a contained worker panic: %v", j.ID, perr.Value)
+		}
+		m.metrics.JobsFailed.Add(1)
+	}
+	// Usage accounting: interrupted jobs settle for real after the next boot's
+	// resume, so only truly terminal outcomes contribute to the ledger (a
+	// restart would otherwise double-count the resumed prefix).
+	charged := status != StatusInterrupted
+	if charged {
+		j.tn.account(jobUsageDelta(status, shed, stats, len(clusters), ranFor))
+	}
+	j.tn.nodes.Release(j.nodeCost)
+
+	finished := time.Now().UTC()
 	j.queueSpan.End() // still open when the job never took a slot
 	if j.root != nil {
 		j.root.SetAttr("status", string(status))
@@ -885,7 +935,7 @@ func (m *jobManager) settle(j *Job, key string, stats core.Stats, err error) {
 		}
 		j.root.End()
 	}
-	if m.slowJob > 0 && total > m.slowJob {
+	if total := finished.Sub(j.created); m.slowJob > 0 && total > m.slowJob {
 		m.log.Warn("slow job",
 			"job", j.ID,
 			"status", string(status),
@@ -898,12 +948,21 @@ func (m *jobManager) settle(j *Job, key string, stats core.Stats, err error) {
 		)
 	}
 
+	j.mu.Lock()
+	j.stats = stats
+	j.finished = finished
+	j.status = status
+	j.err = errMsg
+	j.shed = shed
+	if perr != nil {
+		j.stack = string(perr.Stack)
+	}
+	j.bump()
+	close(j.done)
+	j.mu.Unlock()
+
 	switch status {
 	case StatusDone:
-		m.metrics.JobsFinished.Add(1)
-		m.metrics.NodesVisited.Add(int64(stats.Nodes))
-		res := cachedResult{clusters: clusters, stats: stats}
-		m.cache.put(key, res)
 		if m.store != nil {
 			if err := m.store.saveResult(key, res); err != nil {
 				m.logf("service: persist result of %s: %v", j.ID, err)
@@ -915,31 +974,19 @@ func (m *jobManager) settle(j *Job, key string, stats core.Stats, err error) {
 		if shed {
 			// Shed evictions are journaled with their own terminal record so a
 			// restart neither resurrects them nor miscounts them as caller
-			// cancellations (JobsShed was counted by the shedder).
+			// cancellations.
 			m.journalAppend(journalRecord{Type: recShed, Job: j.ID})
 		} else {
-			m.metrics.JobsCancelled.Add(1)
 			m.journalAppend(journalRecord{Type: recCancelled, Job: j.ID})
 		}
 	case StatusInterrupted:
 		m.journalAppend(journalRecord{Type: recInterrupted, Job: j.ID, Ckpt: ckpt})
 	case StatusFailed:
-		if perr != nil {
-			m.metrics.PanicsRecovered.Add(1)
-			m.logf("service: job %s failed on a contained worker panic: %v", j.ID, perr.Value)
-		}
-		m.metrics.JobsFailed.Add(1)
 		m.journalAppend(journalRecord{Type: recFailed, Job: j.ID, Error: errMsg})
 	}
-
-	// Usage accounting: interrupted jobs settle for real after the next boot's
-	// resume, so only truly terminal outcomes contribute to the ledger (a
-	// restart would otherwise double-count the resumed prefix).
-	if status != StatusInterrupted {
-		usage := j.tn.account(jobUsageDelta(status, shed, stats, len(clusters), ranFor))
-		m.journalUsage(j.tn, usage)
+	if charged {
+		m.journalUsage(j.tn)
 	}
-	j.tn.nodes.Release(j.nodeCost)
 }
 
 // get returns the job with the given ID.

@@ -255,36 +255,63 @@ func TestSettledStateSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicFailsJobOnly: an injected panic on a mining worker yields a
-// failed job carrying the captured stack, while the server keeps serving —
-// the next job on the same server completes.
+// TestWorkerPanicFailsJobOnly: a miner panic on any in-process route — the
+// local parallel engine, the incremental re-mine, or a coordinator's local
+// mining loop — fails only its job, with the panic value and a stack, and
+// the server keeps serving.
 func TestWorkerPanicFailsJobOnly(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	_, ts := newTestServer(t, Config{Logf: t.Logf})
-	m := paperdata.RunningExample()
-	id := uploadMatrix(t, ts, m, "table1")
+	for _, route := range []string{"local", "incremental", "coordinator"} {
+		t.Run(route, func(t *testing.T) {
+			t.Cleanup(faultinject.Reset)
+			cfg := Config{Logf: t.Logf}
+			if route == "coordinator" {
+				cfg.Mode = "coordinator"
+			}
+			_, ts := newTestServer(t, cfg)
+			id, p := uploadMatrix(t, ts, paperdata.RunningExample(), "table1"), runningParams()
+			if route == "incremental" {
+				parentID := uploadMatrix(t, ts, incrParentMatrix(), "parent")
+				p = incrParams()
+				pj := submitJob(t, ts, submitRequest{Dataset: parentID, Params: p})
+				if v := waitTerminal(t, ts, pj.ID); v.Status != StatusDone {
+					t.Fatalf("parent job ended %s: %s", v.Status, v.Error)
+				}
+				child, status := appendDeltaHTTP(t, ts, parentID, "", incrDeltaMatrix())
+				if status != http.StatusCreated {
+					t.Fatalf("append status %d", status)
+				}
+				id = child.ID
+			}
 
-	disarm := faultinject.Arm("core.mine.subtree", faultinject.Spec{Panic: "injected worker panic", Times: 1})
-	v := submitJob(t, ts, submitRequest{Dataset: id, Params: runningParams(), Workers: 4})
-	fin := waitTerminal(t, ts, v.ID)
-	disarm()
-	if fin.Status != StatusFailed {
-		t.Fatalf("panicked job ended %s", fin.Status)
-	}
-	if !strings.Contains(fin.Error, "injected worker panic") {
-		t.Fatalf("panic message lost: %q", fin.Error)
-	}
-	if !strings.Contains(fin.Stack, "goroutine") {
-		t.Fatalf("no stack captured: %q", fin.Stack)
-	}
-	if got := metricValue(t, ts, "regserver_panics_recovered_total"); got != 1 {
-		t.Fatalf("panics_recovered %d", got)
-	}
+			disarm := faultinject.Arm("core.mine.subtree", faultinject.Spec{Panic: "injected worker panic", Times: 1})
+			v := submitJob(t, ts, submitRequest{Dataset: id, Params: p, Workers: 4})
+			fin := waitTerminal(t, ts, v.ID)
+			disarm()
+			if fin.Status != StatusFailed {
+				t.Fatalf("panicked job ended %s", fin.Status)
+			}
+			if !strings.Contains(fin.Error, "injected worker panic") {
+				t.Fatalf("panic message lost: %q", fin.Error)
+			}
+			if !strings.Contains(fin.Stack, "goroutine") {
+				t.Fatalf("no stack captured: %q", fin.Stack)
+			}
+			if got := metricValue(t, ts, "regserver_panics_recovered_total"); got != 1 {
+				t.Fatalf("panics_recovered %d", got)
+			}
 
-	// The server is not wounded: the same submission now succeeds.
-	v2 := submitJob(t, ts, submitRequest{Dataset: id, Params: runningParams()})
-	if fin2 := waitTerminal(t, ts, v2.ID); fin2.Status != StatusDone {
-		t.Fatalf("post-panic job ended %s (%s)", fin2.Status, fin2.Error)
+			// The server is not wounded: the same submission now succeeds.
+			v2 := submitJob(t, ts, submitRequest{Dataset: id, Params: p})
+			if fin2 := waitTerminal(t, ts, v2.ID); fin2.Status != StatusDone {
+				t.Fatalf("post-panic job ended %s (%s)", fin2.Status, fin2.Error)
+			}
+			if route == "incremental" {
+				// Same inputs, so the panicked job took this route too.
+				if got := metricValue(t, ts, "regserver_incremental_mines_total"); got != 1 {
+					t.Fatalf("incremental mines %d after the retry, want 1", got)
+				}
+			}
+		})
 	}
 }
 

@@ -48,15 +48,14 @@ type tenantQueue struct {
 	tn      *tenant
 	pass    uint64 // stride virtual time; smallest active pass is granted next
 	q       []*schedEntry
-	pending int // reservations made at admission, not yet enqueued by run()
 	running int // entries currently holding a slot
 }
 
 func (tq *tenantQueue) stride() uint64 { return strideScale / uint64(tq.tn.weight) }
 
-// occupancy is the tenant's total claim on the scheduler: queued entries,
-// reservations in flight between submit and run, and held slots.
-func (tq *tenantQueue) occupancy() int { return len(tq.q) + tq.pending + tq.running }
+// occupancy is the tenant's total claim on the scheduler: queued entries and
+// held slots.
+func (tq *tenantQueue) occupancy() int { return len(tq.q) + tq.running }
 
 // scheduler owns the slot pool and the per-tenant queues. All state is
 // guarded by mu; grants and sheds are delivered by closing entry channels
@@ -68,7 +67,6 @@ type scheduler struct {
 	tenants map[string]*tenantQueue
 
 	queuedTotal int
-	pendingTot  int
 
 	// Shed watermark state machine: "ok" until queued work crosses shedHigh,
 	// then "shedding" until it drains to shedLow. While shedding, admission
@@ -119,83 +117,55 @@ func (s *scheduler) lowestQueuedClassLocked() int {
 	return lowest
 }
 
-// reserve claims admission capacity for n upcoming enqueues by tn. It
+// enqueue admits j: its queue entry is the reservation, so from the moment a
+// job is admitted every bound and the shed watermark see it. Admission
 // enforces the per-tenant queue bound, the concurrent-job quota, and — while
 // the shedder is active — refuses work that would immediately be shed.
-// forced reservations (boot-time recovery) bypass every bound: journaled
-// work is never re-rejected. The returned error is an *admissionError.
-func (s *scheduler) reserve(tn *tenant, n int, forced bool) error {
+// forced entries (boot-time recovery) bypass every bound: journaled work is
+// never re-rejected. The returned error is an *admissionError. The entry's
+// tenant re-synchronizes its stride pass against the active minimum of its
+// class when it transitions from idle, so sitting out never banks
+// scheduling credit.
+func (s *scheduler) enqueue(j *Job, forced bool) (*schedEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	tn := j.tn
 	tq := s.tq(tn)
 	if !forced {
-		if tn.maxQueued > 0 && len(tq.q)+tq.pending+n > tn.maxQueued {
-			return &admissionError{
+		if tn.maxQueued > 0 && len(tq.q)+1 > tn.maxQueued {
+			return nil, &admissionError{
 				status:     429,
-				retryAfter: s.retryAfterLocked(len(tq.q) + tq.pending),
-				msg:        fmt.Sprintf("tenant %s: queue full (%d queued, limit %d)", tn.id, len(tq.q)+tq.pending, tn.maxQueued),
+				retryAfter: s.retryAfterLocked(len(tq.q)),
+				msg:        fmt.Sprintf("tenant %s: queue full (%d queued, limit %d)", tn.id, len(tq.q), tn.maxQueued),
 			}
 		}
-		if tn.maxActive > 0 && tq.occupancy()+n > tn.maxActive {
-			return &admissionError{
+		if tn.maxActive > 0 && tq.occupancy()+1 > tn.maxActive {
+			return nil, &admissionError{
 				status:     429,
 				retryAfter: s.retryAfterLocked(tq.occupancy()),
 				msg:        fmt.Sprintf("tenant %s: concurrent-job quota reached (%d active, limit %d)", tn.id, tq.occupancy(), tn.maxActive),
 			}
 		}
 		if s.shedding && tn.priority <= s.lowestQueuedClassLocked() {
-			return &admissionError{
+			return nil, &admissionError{
 				status:     429,
 				retryAfter: s.retryAfterLocked(s.queuedTotal),
 				msg:        fmt.Sprintf("server overloaded: shedding %s-priority work", priorityNames[tn.priority]),
 			}
 		}
-		if s.shedHigh > 0 && s.queuedTotal+s.pendingTot+n > s.shedHigh && tn.priority <= s.lowestQueuedClassLocked() {
+		if s.shedHigh > 0 && s.queuedTotal+1 > s.shedHigh && tn.priority <= s.lowestQueuedClassLocked() {
 			// The global watermark is reached and this work does not outrank
 			// anything sheddable: reject it now instead of queueing it only
 			// to evict it.
-			return &admissionError{
+			return nil, &admissionError{
 				status:     429,
 				retryAfter: s.retryAfterLocked(s.queuedTotal),
-				msg:        fmt.Sprintf("server overloaded: %d jobs queued (watermark %d)", s.queuedTotal+s.pendingTot, s.shedHigh),
+				msg:        fmt.Sprintf("server overloaded: %d jobs queued (watermark %d)", s.queuedTotal, s.shedHigh),
 			}
 		}
 	}
-	tq.pending += n
-	s.pendingTot += n
-	return nil
-}
-
-// unreserve returns unused reservations (a submission that settled from the
-// result cache without ever queueing).
-func (s *scheduler) unreserve(tn *tenant, n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tq := s.tq(tn)
-	tq.pending -= n
-	s.pendingTot -= n
-	if tq.pending < 0 {
-		tq.pending = 0
-	}
-	if s.pendingTot < 0 {
-		s.pendingTot = 0
-	}
-}
-
-// enqueue converts one reservation into a queued entry and dispatches. The
-// entry's tenant re-synchronizes its stride pass against the active minimum
-// of its class when it transitions from idle, so sitting out never banks
-// scheduling credit.
-func (s *scheduler) enqueue(j *Job) *schedEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tq := s.tq(j.tn)
-	if tq.pending > 0 {
-		tq.pending--
-		s.pendingTot--
-	}
 	if len(tq.q) == 0 && tq.running == 0 {
-		if min, ok := s.minActivePassLocked(j.tn.priority, tq); ok && tq.pass < min {
+		if min, ok := s.minActivePassLocked(tn.priority, tq); ok && tq.pass < min {
 			tq.pass = min
 		}
 	}
@@ -210,7 +180,7 @@ func (s *scheduler) enqueue(j *Job) *schedEntry {
 	s.queuedTotal++
 	s.maybeShedLocked()
 	s.dispatchLocked()
-	return e
+	return e, nil
 }
 
 // minActivePassLocked returns the smallest pass among active tenants (queued
@@ -229,10 +199,9 @@ func (s *scheduler) minActivePassLocked(class int, self *tenantQueue) (uint64, b
 	return min, found
 }
 
-// acquire blocks until the job is granted a slot, shed, or cancelled. A nil
-// return means the caller holds a slot and must release(j) when done.
-func (s *scheduler) acquire(ctx context.Context, j *Job) error {
-	e := s.enqueue(j)
+// acquire blocks until the entry is granted a slot, shed, or cancelled. A
+// nil return means the caller holds a slot and must release(e.job) when done.
+func (s *scheduler) acquire(ctx context.Context, e *schedEntry) error {
 	select {
 	case <-e.grant:
 		return nil
@@ -240,21 +209,26 @@ func (s *scheduler) acquire(ctx context.Context, j *Job) error {
 		return errShedOverload
 	case <-ctx.Done():
 	}
-	if s.removeQueued(e) {
-		return ctx.Err()
-	}
-	// Lost the race: a grant or shed landed while the cancellation was being
-	// processed. A granted slot must go back to the pool.
-	select {
-	case <-e.grant:
-		s.release(j)
-	default:
-	}
+	s.withdraw(e)
 	return ctx.Err()
 }
 
-// removeQueued withdraws a still-queued entry (cancel-while-queued); false
-// means the entry had already been granted or shed.
+// withdraw takes back an entry that will not run (a cancellation while
+// queued, or a submission that settled from the result cache). A grant that
+// already landed goes back to the pool; a shed entry needs nothing.
+func (s *scheduler) withdraw(e *schedEntry) {
+	if s.removeQueued(e) {
+		return
+	}
+	select {
+	case <-e.grant:
+		s.release(e.job)
+	default:
+	}
+}
+
+// removeQueued withdraws a still-queued entry; false means the entry had
+// already been granted or shed.
 func (s *scheduler) removeQueued(e *schedEntry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -426,9 +400,9 @@ type saturation struct {
 func (s *scheduler) saturationSnapshot() saturation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sat := saturation{queued: s.queuedTotal + s.pendingTot, running: s.inUse, shedding: s.shedding}
+	sat := saturation{queued: s.queuedTotal, running: s.inUse, shedding: s.shedding}
 	for _, tq := range s.tenants {
-		sat.byClass[tq.tn.priority] += len(tq.q) + tq.pending
+		sat.byClass[tq.tn.priority] += len(tq.q)
 	}
 	return sat
 }
@@ -441,7 +415,7 @@ func (s *scheduler) gauges(tn *tenant) tenantGauges {
 	if !ok {
 		return tenantGauges{}
 	}
-	return tenantGauges{queued: len(tq.q) + tq.pending, running: tq.running}
+	return tenantGauges{queued: len(tq.q), running: tq.running}
 }
 
 // runningSlots returns the number of slots currently held.

@@ -34,17 +34,24 @@ func shedded(e *schedEntry) bool {
 	}
 }
 
-// enqueueN reserves and enqueues n jobs for tn, returning their entries.
+// enqueueN admits n jobs for tn, returning their entries.
 func enqueueN(t *testing.T, s *scheduler, tn *tenant, n int) []*schedEntry {
 	t.Helper()
 	out := make([]*schedEntry, 0, n)
 	for i := 0; i < n; i++ {
-		if err := s.reserve(tn, 1, false); err != nil {
-			t.Fatalf("reserve for %s: %v", tn.id, err)
+		e, err := s.enqueue(&Job{ID: fmt.Sprintf("%s-%d", tn.id, i), tn: tn}, false)
+		if err != nil {
+			t.Fatalf("enqueue for %s: %v", tn.id, err)
 		}
-		out = append(out, s.enqueue(&Job{ID: fmt.Sprintf("%s-%d", tn.id, i), tn: tn}))
+		out = append(out, e)
 	}
 	return out
+}
+
+// admitOne admits one job for tn, returning the admission error.
+func admitOne(s *scheduler, tn *tenant, forced bool) error {
+	_, err := s.enqueue(&Job{ID: tn.id + "-extra", tn: tn}, forced)
+	return err
 }
 
 // TestSchedulerWeightedFairness: with one slot and two backlogged tenants of
@@ -129,7 +136,7 @@ func TestSchedulerPriorityClasses(t *testing.T) {
 
 // TestSchedulerShedWatermark drives the shed state machine end to end: at the
 // watermark admission refuses sheddable work outright; work that slips past
-// admission (forced reservations) activates the shedder, which evicts the
+// admission (forced entries) activates the shedder, which evicts the
 // newest lowest-class entry; higher-class arrivals displace queued low work;
 // draining to the low watermark ends shedding.
 func TestSchedulerShedWatermark(t *testing.T) {
@@ -145,7 +152,7 @@ func TestSchedulerShedWatermark(t *testing.T) {
 
 	// At the watermark, admission rejects sheddable work instead of queueing
 	// it only to evict it.
-	err := s.reserve(low, 1, false)
+	err := admitOne(s, low, false)
 	if err == nil {
 		t.Fatal("sheddable work admitted at the watermark")
 	}
@@ -153,13 +160,13 @@ func TestSchedulerShedWatermark(t *testing.T) {
 		t.Fatalf("watermark rejection %v, want 429 with Retry-After", err)
 	}
 
-	// A forced reservation (boot-time recovery bypasses admission) crosses
-	// the watermark: the shedder activates and evicts the NEWEST entry of the
+	// A forced entry (boot-time recovery bypasses admission) crosses the
+	// watermark: the shedder activates and evicts the NEWEST entry of the
 	// lowest class — the one that just arrived — keeping the oldest work.
-	if err := s.reserve(low, 1, true); err != nil {
+	e3, err := s.enqueue(&Job{ID: "batch-late", tn: low}, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	e3 := s.enqueue(&Job{ID: "batch-late", tn: low})
 	if !shedded(e3) {
 		t.Fatal("entry crossing the watermark was not shed")
 	}
@@ -174,7 +181,7 @@ func TestSchedulerShedWatermark(t *testing.T) {
 	}
 
 	// While shedding, low-priority admission stays refused...
-	if err := s.reserve(low, 1, false); err == nil {
+	if err := admitOne(s, low, false); err == nil {
 		t.Fatal("sheddable work admitted while shedding")
 	}
 	// ...but a high-priority entry is admitted, and — the queue being over
@@ -193,39 +200,37 @@ func TestSchedulerShedWatermark(t *testing.T) {
 	if s.saturationSnapshot().shedding {
 		t.Fatal("shedding did not end at the low watermark")
 	}
-	if err := s.reserve(low, 1, false); err != nil {
+	if err := admitOne(s, low, false); err != nil {
 		t.Fatalf("admission still refusing after shedding ended: %v", err)
 	}
 }
 
 // TestSchedulerReserveBounds covers the per-tenant queue and concurrency
-// bounds enforced at reservation time.
+// bounds enforced at admission, where the queue entry is the reservation.
 func TestSchedulerReserveBounds(t *testing.T) {
 	s := newScheduler(1, 0, NewMetrics())
 	tn := schedTenant("q", 1, PriorityNormal)
 	tn.maxQueued = 3
 	tn.maxActive = 3
 
-	for i := 0; i < 3; i++ {
-		if err := s.reserve(tn, 1, false); err != nil {
-			t.Fatalf("reserve %d: %v", i, err)
-		}
-	}
-	if err := s.reserve(tn, 1, false); err == nil || !strings.Contains(err.Error(), "queue full") {
+	// Occupy the slot so the tenant's entries queue.
+	be := enqueueN(t, s, schedTenant("blocker", 1, PriorityNormal), 1)[0]
+	es := enqueueN(t, s, tn, 3)
+	if err := admitOne(s, tn, false); err == nil || !strings.Contains(err.Error(), "queue full") {
 		t.Fatalf("queue bound not enforced: %v", err)
 	}
-	// Converting one reservation to a running grant frees queue space, but
-	// the grant still counts against maxActive (queued + running).
-	e := s.enqueue(&Job{ID: "q-0", tn: tn})
-	if !granted(e) {
-		t.Fatal("entry not granted on an idle scheduler")
+	// Granting one entry frees queue space, but the grant still counts
+	// against maxActive (queued + running).
+	s.release(be.job)
+	if !granted(es[0]) {
+		t.Fatal("entry not granted when the slot freed")
 	}
-	if err := s.reserve(tn, 1, false); err == nil || !strings.Contains(err.Error(), "quota") {
-		t.Fatalf("maxActive bound not enforced (1 running + 2 reserved): %v", err)
+	if err := admitOne(s, tn, false); err == nil || !strings.Contains(err.Error(), "quota") {
+		t.Fatalf("maxActive bound not enforced (1 running + 2 queued): %v", err)
 	}
-	// Forced reservations (boot recovery) bypass every bound.
-	if err := s.reserve(tn, 1, true); err != nil {
-		t.Fatalf("forced reservation rejected: %v", err)
+	// Forced entries (boot recovery) bypass every bound.
+	if err := admitOne(s, tn, true); err != nil {
+		t.Fatalf("forced entry rejected: %v", err)
 	}
 }
 
@@ -239,20 +244,21 @@ func TestSchedulerCancelWhileQueued(t *testing.T) {
 	const n = 40
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		if err := s.reserve(tn, 1, false); err != nil {
+		j := &Job{ID: fmt.Sprintf("c-%d", i), tn: tn}
+		e, err := s.enqueue(j, false)
+		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			j := &Job{ID: fmt.Sprintf("c-%d", i), tn: tn}
 			ctx, cancel := context.WithCancel(context.Background())
 			if i%2 == 0 {
 				cancel() // half the entries cancel as fast as possible
 			} else {
 				defer cancel()
 			}
-			if err := s.acquire(ctx, j); err == nil {
+			if err := s.acquire(ctx, e); err == nil {
 				time.Sleep(time.Millisecond)
 				s.release(j)
 			}
@@ -272,8 +278,8 @@ func TestSchedulerCancelWhileQueued(t *testing.T) {
 	}
 }
 
-// TestSchedulerSubmitDuringShedRace hammers reserve/enqueue/shed/cancel from
-// three priority classes at once — forced reservations keep pushing the queue
+// TestSchedulerSubmitDuringShedRace hammers admission/shed/cancel from three
+// priority classes at once — forced entries keep pushing the queue
 // over the watermark, so evictions race against grants, withdrawals, and
 // releases. Every entry must resolve and the scheduler must drain to zero.
 // Meaningful under -race.
@@ -293,12 +299,13 @@ func TestSchedulerSubmitDuringShedRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perTenant; i++ {
 				forced := i%3 == 0 // some work bypasses admission and must be shed
-				if err := s.reserve(tn, 1, forced); err != nil {
+				j := &Job{ID: fmt.Sprintf("%s-%d", tn.id, i), tn: tn}
+				e, err := s.enqueue(j, forced)
+				if err != nil {
 					continue // honest 429 path
 				}
-				j := &Job{ID: fmt.Sprintf("%s-%d", tn.id, i), tn: tn}
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-				err := s.acquire(ctx, j)
+				err = s.acquire(ctx, e)
 				cancel()
 				if err == nil {
 					s.release(j)

@@ -73,52 +73,12 @@ type Result = core.Result
 // Stats counts the work performed by one Mine call.
 type Stats = core.Stats
 
-// Mine discovers all reg-clusters of m under p.
+// Mine discovers all reg-clusters of m under p, on the calling goroutine.
 func Mine(m *Matrix, p Params) (*Result, error) { return core.Mine(m, p) }
-
-// MineContext is Mine with cooperative cancellation: the search stops
-// promptly once ctx expires and returns the context's error.
-func MineContext(ctx context.Context, m *Matrix, p Params) (*Result, error) {
-	return core.MineContext(ctx, m, p)
-}
 
 // Visitor receives mined clusters as the search discovers them; returning
 // false stops the search, leaving exactly the prefix of Mine's output.
 type Visitor = core.Visitor
-
-// MineFunc streams reg-clusters to the visitor in Mine's enumeration order
-// instead of accumulating them, bounding memory and enabling early exit.
-func MineFunc(m *Matrix, p Params, visit Visitor) (Stats, error) {
-	return core.MineFunc(m, p, visit)
-}
-
-// MineParallel mines the same cluster set as Mine with a worker pool over
-// the level-1 subtrees; workers <= 0 selects GOMAXPROCS. Results — clusters
-// and Stats alike — are identical to Mine's for any worker count, in the
-// same order, including runs truncated by the global MaxClusters/MaxNodes
-// caps.
-func MineParallel(m *Matrix, p Params, workers int) (*Result, error) {
-	return core.MineParallel(m, p, workers)
-}
-
-// MineParallelContext is MineParallel with cooperative cancellation through
-// ctx, observed by every worker.
-func MineParallelContext(ctx context.Context, m *Matrix, p Params, workers int) (*Result, error) {
-	return core.MineParallelContext(ctx, m, p, workers)
-}
-
-// MineParallelFunc streams reg-clusters to the visitor from a worker pool,
-// in the same deterministic order as MineFunc; a visitor stop halts all
-// workers and leaves exactly the sequential prefix.
-func MineParallelFunc(m *Matrix, p Params, workers int, visit Visitor) (Stats, error) {
-	return core.MineParallelFunc(m, p, workers, visit)
-}
-
-// MineParallelFuncContext is MineParallelFunc with cooperative cancellation
-// through ctx, observed by every worker at node granularity.
-func MineParallelFuncContext(ctx context.Context, m *Matrix, p Params, workers int, visit Visitor) (Stats, error) {
-	return core.MineParallelFuncContext(ctx, m, p, workers, visit)
-}
 
 // Observer exposes live, monotone node/cluster counters while a mining call
 // runs — progress reporting for long jobs. The counters are approximate
@@ -126,10 +86,20 @@ func MineParallelFuncContext(ctx context.Context, m *Matrix, p Params, workers i
 // Stats remain authoritative.
 type Observer = core.Observer
 
-// MineParallelFuncObserved is MineParallelFuncContext with live progress
-// counters published to obs.
-func MineParallelFuncObserved(ctx context.Context, m *Matrix, p Params, workers int, visit Visitor, obs *Observer) (Stats, error) {
-	return core.MineParallelFuncObserved(ctx, m, p, workers, visit, obs)
+// MineOptions are the optional parts of a MineWith run: the worker count
+// (<= 0 selects GOMAXPROCS; 1 runs on the calling goroutine), a streaming
+// Visit, a live Observer, a Resume checkpoint with Checkpoint emission, and
+// a prebuilt model set from BuildModels.
+type MineOptions = core.Options
+
+// MineWith mines m under p with the given options. Results — clusters, order
+// and Stats — are identical to Mine's for any worker count, including runs
+// truncated by the global MaxClusters/MaxNodes caps or a visitor stop. ctx is
+// observed by every worker; once it expires the call returns the context's
+// error. With Visit set, clusters stream to it and the Result carries only
+// Stats.
+func MineWith(ctx context.Context, m *Matrix, p Params, o MineOptions) (*Result, error) {
+	return core.MineWith(ctx, m, p, o)
 }
 
 // ValidateWorkers rejects worker counts above max (when max > 0). Zero and
@@ -144,7 +114,8 @@ type RWaveModel = core.RWaveModel
 // BuildModels constructs the RWave model set Mine would build internally. The
 // index depends only on the matrix and the γ-scheme (Gamma/AbsoluteGamma or
 // CustomGammas) — not on Epsilon, MinG, MinC or the caps — so a parameter
-// sweep over those knobs can build once and call MineWithModels per point. A
+// sweep over those knobs can build once and mine each point with
+// MineOptions.Models. A
 // non-nil Observer with an attached span records the construction; pass nil
 // otherwise.
 func BuildModels(m *Matrix, p Params, o *Observer) ([]*RWaveModel, error) {
@@ -155,19 +126,6 @@ func BuildModels(m *Matrix, p Params, o *Observer) ([]*RWaveModel, error) {
 // identified by datasetHash: two (dataset, Params) pairs share a key exactly
 // when they share a model set. Use it to index caches of prebuilt models.
 func ModelKey(datasetHash string, p Params) string { return core.ModelKey(datasetHash, p) }
-
-// MineWithModels is Mine reusing a prebuilt model set from BuildModels on the
-// same matrix with a ModelKey-equivalent Params; output is identical to
-// Mine(m, p).
-func MineWithModels(m *Matrix, p Params, models []*RWaveModel) (*Result, error) {
-	return core.MineWithModels(m, p, models)
-}
-
-// MineParallelWithModels is MineParallel reusing a prebuilt model set, with
-// the same determinism guarantee for any worker count.
-func MineParallelWithModels(m *Matrix, p Params, workers int, models []*RWaveModel) (*Result, error) {
-	return core.MineParallelWithModels(m, p, workers, models)
-}
 
 // AppendConditions grows base with the delta's columns: the delta must carry
 // exactly base's genes (same names, same order) and only new condition names.
