@@ -100,9 +100,34 @@ func sameModels(t *testing.T, label string, got, want []*rwave.Model) {
 	}
 }
 
+// sameTables compares the condition-pair tables two packed model sets carry,
+// row by row: the Up bitset of every ordered condition pair and the
+// chain-length rows of every condition and length.
+func sameTables(t *testing.T, label string, got, want []*rwave.Model, conds int) {
+	t.Helper()
+	gt, wt := rwave.TablesOf(rwave.Kernels(got)), rwave.TablesOf(rwave.Kernels(want))
+	if gt.Genes() != wt.Genes() || gt.MaxLen() != wt.MaxLen() {
+		t.Fatalf("%s: tables cover %d genes / MaxLen %d, want %d / %d", label,
+			gt.Genes(), gt.MaxLen(), wt.Genes(), wt.MaxLen())
+	}
+	for a := 0; a < conds; a++ {
+		for b := 0; b < conds; b++ {
+			if !reflect.DeepEqual(gt.Up(a, b), wt.Up(a, b)) {
+				t.Fatalf("%s: Up(%d,%d) differs", label, a, b)
+			}
+		}
+		for l := 1; l <= wt.MaxLen(); l++ {
+			if !reflect.DeepEqual(gt.UpLen(a, l), wt.UpLen(a, l)) || !reflect.DeepEqual(gt.DownLen(a, l), wt.DownLen(a, l)) {
+				t.Fatalf("%s: length rows (%d,%d) differ", label, a, l)
+			}
+		}
+	}
+}
+
 // TestDifferentialRepairVsBuildModels: across all three threshold schemes and
 // random append deltas, RepairModels must produce a model set identical in
-// every field to a cold BuildModels of the grown matrix. Runs under -race in
+// every field to a cold BuildModels of the grown matrix, condition-pair
+// tables included. Runs under -race in
 // CI alongside the other differential suites.
 func TestDifferentialRepairVsBuildModels(t *testing.T) {
 	trials := 30
@@ -129,6 +154,7 @@ func TestDifferentialRepairVsBuildModels(t *testing.T) {
 				t.Fatalf("%s: cold build: %v", label, err)
 			}
 			sameModels(t, label, repaired, cold)
+			sameTables(t, label, repaired, cold, child.Cols())
 			// Absolute and custom thresholds never drift under an append, so
 			// every gene must take the fast path there.
 			if pi > 0 && nFast != rows {

@@ -125,6 +125,59 @@ func BenchmarkKernelCondSetAppendClear(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelLevel2Candidates measures the bit-sliced candidate
+// evaluation of one level-2 node on a cold-mine-shaped matrix (600×30,
+// MinG 6, MinC 6, ε 0.01): for every off-chain condition, the survivor ANDs
+// with the condition-pair tables, Equation 7 on the survivors, and the
+// bucket filter with its exact confirmation — without descending. The node
+// is the level-2 chain with the most members.
+func BenchmarkKernelLevel2Candidates(b *testing.B) {
+	cfg := synthetic.DefaultConfig()
+	cfg.Genes, cfg.Seed = 600, 1
+	m, _, err := synthetic.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := Params{MinG: 6, MinC: 6, Gamma: 0.1, Epsilon: 0.01}
+	models, err := BuildModels(m, p, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mn := newMiner(m, p, rwave.Kernels(models), newBudget(p, nil))
+	sc := &mn.sc
+	sc.ensure(m.Rows(), m.Cols())
+	level2 := func(c0, c1 int) int {
+		sc.chain = append(sc.chain[:0], c0)
+		sc.ps[0].copyRow(mn.tab.UpLen(c0, p.MinC))
+		sc.ns[0].copyRow(mn.tab.DownLen(c0, p.MinC))
+		n := mn.survivors(1, c1)
+		sc.chain = append(sc.chain, c1)
+		return n
+	}
+	best, c0, c1 := -1, 0, 0
+	for a := 0; a < m.Cols(); a++ {
+		for z := 0; z < m.Cols(); z++ {
+			if n := level2(a, z); a != z && n > best {
+				best, c0, c1 = n, a, z
+			}
+		}
+	}
+	level2(c0, c1)
+	f := sc.frame(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for ci := 0; ci < m.Cols(); ci++ {
+			if ci == c0 || ci == c1 || mn.survivors(2, ci) == 0 {
+				continue
+			}
+			if mn.mayCohere(mn.scoreSurvivors(ci, sc.ps[2], sc.ns[2], f)) {
+				kernelSink++
+			}
+		}
+	}
+}
+
 // BenchmarkKernelMineSmall ties the primitives together: a complete mining
 // run on a small synthetic workload, cheap enough for the CI smoke pass.
 func BenchmarkKernelMineSmall(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 
@@ -81,9 +82,12 @@ func Mine(m *matrix.Matrix, p Params) (*Result, error) {
 // bound the whole run rather than each worker. ctx (nil means background) is
 // observed by every miner at node and candidate boundaries; once it expires
 // the call stops promptly and returns the context's error, with no partial
-// result, since the cancellation point is not deterministic. A panic on a
-// worker goroutine is contained and returned as a *PanicError. With Visit
-// set, the returned Result carries only Stats.
+// result, since the cancellation point is not deterministic. The same holds
+// when a run that stops early for any other reason — a visitor stop or a
+// cap — finds the context done by then: every route returns the context's
+// error, so a visitor that cancels the context and stops gets one outcome.
+// A panic on a worker goroutine is contained and returned as a *PanicError.
+// With Visit set, the returned Result carries only Stats.
 func MineWith(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Result, error) {
 	sp := o.Observer.traceSpan()
 	_, kern, err := resolveModels(m, p, o.Models, sp)
@@ -129,6 +133,11 @@ func mineSequential(ctx context.Context, m *matrix.Matrix, p Params, kern []rwav
 	mn.run()
 	if err := mn.bud.contextErr(); err != nil {
 		return nil, err
+	}
+	if mn.stop && ctx != nil && ctx.Err() != nil {
+		// The parallel route's reconciliation rerun observes the expired
+		// context after such a stop; the sequential route must agree.
+		return nil, ctx.Err()
 	}
 	if mn.stats.Truncated {
 		sp.Add("budget_trips", 1)
@@ -215,6 +224,7 @@ type miner struct {
 	m     *matrix.Matrix
 	p     Params
 	kern  []rwave.Kernel // flat per-gene model views, shared read-only across the run
+	tab   rwave.Tables   // the set's condition-pair tables (chain lengths 1 and 2)
 	bud   *budget        // global caps + cancellation, shared across workers
 	dedup dedupSet       // pruning (3b) duplicate-state suppression
 	out   []*Bicluster
@@ -234,9 +244,10 @@ type miner struct {
 // newMiner builds one mining session bound to the given (usually shared)
 // budget. Every construction site must come through here so the scratch
 // arena and dedup set are always initialized. kern is the run's shared flat
-// view of the model set (resolveModels builds it once per run).
+// view of the model set (resolveModels builds it once per run); its
+// condition-pair tables come with it.
 func newMiner(m *matrix.Matrix, p Params, kern []rwave.Kernel, bud *budget) *miner {
-	return &miner{m: m, p: p, kern: kern, bud: bud, dedup: newDedupSet()}
+	return &miner{m: m, p: p, kern: kern, tab: rwave.TablesOf(kern), bud: bud, dedup: newDedupSet()}
 }
 
 func (mn *miner) run() {
@@ -272,28 +283,27 @@ func (mn *miner) popChain() {
 // runFrom mines the level-1 subtree rooted at starting condition c. Every
 // gene joins in each direction it could sustain (pruning (2) estimates the
 // reachable chain length as MaxUp/DownChainFrom), so the root member list
-// can hold up to two entries per gene.
+// can hold up to two entries per gene. The table's chain-length rows at c
+// are exactly those members.
 func (mn *miner) runFrom(c int) {
-	mn.sc.ensure(mn.m.Rows(), mn.m.Cols())
-	nGenes := mn.m.Rows()
-	members := mn.sc.root[:0]
-	for g := 0; g < nGenes; g++ {
-		k := &mn.kern[g]
-		r := k.Rank[c]
-		if mn.p.DisableChainLengthPruning || k.UpLen[r] >= mn.p.MinC {
-			members = append(members, member{g, true})
-		} else {
-			mn.stats.MembersDroppedByLength++
-		}
-		if mn.p.DisableChainLengthPruning || k.DownLen[r] >= mn.p.MinC {
-			members = append(members, member{g, false})
-		} else {
-			mn.stats.MembersDroppedByLength++
-		}
-	}
+	sc := &mn.sc
+	sc.ensure(mn.m.Rows(), mn.m.Cols())
+	minC := rootChainBound(mn.p)
+	n := sc.ps[0].copyRow(mn.tab.UpLen(c, minC)) + sc.ns[0].copyRow(mn.tab.DownLen(c, minC))
+	mn.stats.MembersDroppedByLength += 2*mn.m.Rows() - n
+	members := appendMembers(sc.root[:0], sc.ps[0], sc.ns[0])
 	mn.pushChain(c)
 	mn.mineC2(members)
 	mn.popChain()
+}
+
+// rootChainBound is the chain length a root member must be able to reach:
+// MinC under pruning (2), otherwise 1, which every gene reaches.
+func rootChainBound(p Params) int {
+	if p.DisableChainLengthPruning {
+		return 1
+	}
+	return p.MinC
 }
 
 // mineC2 is the MineC² subroutine of Figure 5; the current chain lives on
@@ -361,12 +371,17 @@ func (mn *miner) mineC2(members []member) {
 }
 
 // extend generates candidate successor conditions for the chain tail and
-// recurses into every validated sliding window. All working storage comes
-// from the depth's scratch frame; the chain stack grows by the candidate
-// condition around each recursion.
+// recurses into every validated sliding window. Chain lengths 1 and 2 run on
+// gene bitsets (extendBits); from length 3 on, the member list is tested
+// gene by gene. All working storage comes from the depth's scratch frame;
+// the chain stack grows by the candidate condition around each recursion.
 func (mn *miner) extend(members []member, pCount int) {
 	depth := len(mn.sc.chain)
 	f := mn.sc.frame(depth)
+	if depth <= 2 {
+		mn.extendBits(depth, f)
+		return
+	}
 	last := mn.sc.chain[depth-1]
 
 	cand := f.cand[:0]
@@ -412,23 +427,216 @@ func (mn *miner) extend(members []member, pCount int) {
 		if len(ext) == 0 {
 			continue
 		}
-		f.win = maximalWindows(f.win[:0], ext, mn.p.Epsilon, mn.p.MinG)
-		if len(f.win) == 0 {
+		mn.descend(ci, ext, f)
+	}
+}
+
+// descend validates the sliding windows of a candidate's score-sorted
+// extension list (pruning (4)) and mines each as a child node of chain+ci.
+func (mn *miner) descend(ci int, ext []extMember, f *frame) {
+	f.win = maximalWindows(f.win[:0], ext, mn.p.Epsilon, mn.p.MinG)
+	if len(f.win) == 0 {
+		mn.stats.PrunedCoherence++
+		return
+	}
+	mn.pushChain(ci)
+	for _, w := range f.win {
+		nm := f.nm[:0]
+		for k := w[0]; k <= w[1]; k++ {
+			nm = append(nm, ext[k].member)
+		}
+		sortMembers(nm)
+		f.nm = nm
+		mn.mineC2(nm)
+	}
+	mn.popChain()
+}
+
+// extendBits is extend at chain lengths 1 and 2, where nearly all member
+// checks happen, evaluated on gene bitsets: the node's members are the sets
+// sc.ps/ns of its level, and a candidate's survivors are word-wise ANDs with
+// the condition-pair tables. It produces exactly the candidates, Stats and
+// children of the sparse loop:
+//
+//   - candidates are the off-chain conditions some p-member regulates up to
+//     from the tail (P ∧ Up(last, ci) ≠ ∅), ascending — the successor scan's
+//     set and order; NaiveCandidates takes every off-chain condition;
+//   - survivors are P ∧ Up(last, ci) ∧ UpLen(ci, MinC−ℓ) and
+//     N ∧ Up(ci, last) ∧ DownLen(ci, MinC−ℓ), and the regulated members the
+//     length rows remove are the MembersDroppedByLength of pruning (2);
+//   - at ℓ = 1 every score is 1, so the survivors are one window, already
+//     in member order, with no Equation 7 work and no sort;
+//   - at ℓ = 2 only survivors are scored, and mayCohere rejects most
+//     candidates before the comparison sort.
+func (mn *miner) extendBits(depth int, f *frame) {
+	sc := &mn.sc
+	last := sc.chain[depth-1]
+	ps := sc.ps[depth-1]
+	sp, sn := sc.ps[depth], sc.ns[depth] // survivors: the child's members at ℓ = 1
+	cand := f.cand[:0]
+	if mn.p.NaiveCandidates {
+		cand = sc.inChain.appendClear(cand, mn.m.Cols())
+	} else {
+		for ci := 0; ci < mn.m.Cols(); ci++ {
+			if !sc.inChain.has(ci) && ps.intersects(mn.tab.Up(last, ci)) {
+				cand = append(cand, ci)
+			}
+		}
+	}
+	f.cand = cand
+
+	for _, ci := range cand {
+		if mn.stop || mn.bud.stopped() {
+			mn.stop = true
+			return
+		}
+		mn.stats.CandidatesExamined++
+		n := mn.survivors(depth, ci)
+		if n == 0 {
+			continue
+		}
+		if depth == 1 {
+			if n < mn.p.MinG {
+				mn.stats.PrunedCoherence++
+				continue
+			}
+			f.nm = appendMembers(f.nm[:0], sp, sn)
+			mn.pushChain(ci)
+			mn.mineC2(f.nm)
+			mn.popChain()
+			continue
+		}
+		ext := mn.scoreSurvivors(ci, sp, sn, f)
+		if len(ext) == 0 {
+			continue
+		}
+		if !mn.mayCohere(ext) {
 			mn.stats.PrunedCoherence++
 			continue
 		}
-		mn.pushChain(ci)
-		for _, w := range f.win {
-			nm := f.nm[:0]
-			for k := w[0]; k <= w[1]; k++ {
-				nm = append(nm, ext[k].member)
-			}
-			sortMembers(nm)
-			f.nm = nm
-			mn.mineC2(nm)
-		}
-		mn.popChain()
+		sortExtMembers(ext)
+		mn.descend(ci, ext, f)
 	}
+}
+
+// survivors stores into the next level's sets the members of the level-depth
+// node that extend to chain+ci — p-members for which ci is a regulation
+// successor of the tail, n-members for which it is a predecessor, both
+// still able to reach MinC (pruning (2), whose drops it counts) — and
+// returns how many there are.
+func (mn *miner) survivors(depth, ci int) int {
+	sc, t := &mn.sc, &mn.tab
+	last := sc.chain[depth-1]
+	sp, sn := sc.ps[depth], sc.ns[depth]
+	nP := sp.and(sc.ps[depth-1], t.Up(last, ci))
+	nN := sn.and(sc.ns[depth-1], t.Up(ci, last))
+	if bound := mn.p.MinC - depth; bound > 1 && !mn.p.DisableChainLengthPruning {
+		kP, kN := sp.keep(t.UpLen(ci, bound)), sn.keep(t.DownLen(ci, bound))
+		mn.stats.MembersDroppedByLength += nP - kP + nN - kN
+		return kP + kN
+	}
+	return nP + nN
+}
+
+// scoreSurvivors returns the level-2 survivors sp/sn of candidate ci with
+// their Equation 7 scores, dropping and counting non-finite scores exactly as
+// matchCandidate does. The list is in no particular order (it is sorted
+// totally before descend) and lives in the frame's extension buffer.
+func (mn *miner) scoreSurvivors(ci int, sp, sn geneSet, f *frame) []extMember {
+	ext := mn.appendScored(f.ext[:0], ci, sp, true)
+	ext = mn.appendScored(ext, ci, sn, false)
+	f.ext = ext
+	return ext
+}
+
+// appendScored appends the members of set in direction up, scored against
+// the level-2 chain for candidate ci.
+func (mn *miner) appendScored(ext []extMember, ci int, set geneSet, up bool) []extMember {
+	c0, c1 := mn.sc.chain[0], mn.sc.chain[1]
+	for w, x := range set {
+		for ; x != 0; x &= x - 1 {
+			g := w<<6 | bits.TrailingZeros64(x)
+			v := mn.kern[g].ValueByCond
+			h := (v[ci] - v[c1]) / (v[c1] - v[c0])
+			if math.IsInf(h, 0) || math.IsNaN(h) {
+				mn.stats.NonFiniteH++
+				continue
+			}
+			ext = append(ext, extMember{member{g, up}, h})
+		}
+	}
+	return ext
+}
+
+// maxBucketQuotient bounds |H/ε| for the bucket filter. Below 2^53 adjacent
+// float64 values are at most 1 apart, so rounding moves a computed bucket
+// floor(H/ε) by at most one; above it the filter is skipped.
+const maxBucketQuotient = 1 << 53
+
+// mayCohere reports whether some window of the extension's scores with
+// spread <= ε can hold MinG members — whether maximalWindows would find any.
+// It counts the scores in ε-wide buckets floor(H/ε) first, direct-mapped mod
+// 256 so collisions only overcount. A window of spread <= ε covers two
+// adjacent buckets in exact arithmetic; the float subtraction that accepts
+// it and the rounded quotients can each widen that by one, so its members
+// lie in at most four adjacent buckets, and if no four adjacent slots reach
+// MinG no window can. Candidates that pass are confirmed on the sorted bare
+// scores, so the answer is exact either way.
+func (mn *miner) mayCohere(ext []extMember) bool {
+	minG, eps := mn.p.MinG, mn.p.Epsilon
+	if len(ext) < minG {
+		return false
+	}
+	if eps > 0 && !mn.bucketsMayHold(ext, eps, minG) {
+		return false
+	}
+	hs := mn.sc.scores[:0]
+	for _, e := range ext {
+		hs = append(hs, e.h)
+	}
+	mn.sc.scores = hs
+	slices.Sort(hs)
+	for l := minG - 1; l < len(hs); l++ {
+		if hs[l]-hs[l-minG+1] <= eps {
+			return true
+		}
+	}
+	return false
+}
+
+// bucketsMayHold is mayCohere's bucket count: false only when no four
+// adjacent ε-buckets hold minG scores. Four adjacent slots holding a score
+// are covered by the four starting at their first occupied slot, so only
+// windows starting at a score's own slot need a sum. Counts saturate at 255,
+// and a window over a saturated slot always passes. It answers true,
+// deferring to the exact check, when a quotient H/ε is too large to bucket.
+func (mn *miner) bucketsMayHold(ext []extMember, eps float64, minG int) bool {
+	sc := &mn.sc
+	cnt := &sc.buckets
+	slots := sc.slots[:0]
+	found := false
+	for _, e := range ext {
+		q := e.h / eps
+		if !(math.Abs(q) < maxBucketQuotient) {
+			found = true
+			break
+		}
+		s := uint8(int64(math.Floor(q)))
+		if cnt[s] < math.MaxUint8 {
+			cnt[s]++
+		}
+		slots = append(slots, s)
+	}
+	for i := 0; i < len(slots) && !found; i++ {
+		s := slots[i]
+		a, b, c, d := cnt[s], cnt[s+1], cnt[s+2], cnt[s+3]
+		found = int(a)+int(b)+int(c)+int(d) >= minG || max(a, b, c, d) == math.MaxUint8
+	}
+	for _, s := range slots {
+		cnt[s] = 0 // leave every slot empty for the next candidate
+	}
+	sc.slots = slots
+	return found
 }
 
 // matchCandidate returns the members of the current node that extend to

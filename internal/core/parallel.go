@@ -265,20 +265,11 @@ func (s *subtree) final() (Stats, bool) {
 // drains. Ties keep ascending condition order, so dispatch is deterministic.
 func subtreeOrder(m *matrix.Matrix, p Params, kern []rwave.Kernel) []int {
 	nConds := m.Cols()
+	tab := rwave.TablesOf(kern)
+	minC := rootChainBound(p)
 	size := make([]int, nConds)
-	// Gene-major walk so each kernel's Rank/UpLen/DownLen stripes are
-	// streamed once, instead of revisiting every gene per condition.
-	for g := range kern {
-		k := &kern[g]
-		for c := 0; c < nConds; c++ {
-			r := k.Rank[c]
-			if p.DisableChainLengthPruning || k.UpLen[r] >= p.MinC {
-				size[c]++
-			}
-			if p.DisableChainLengthPruning || k.DownLen[r] >= p.MinC {
-				size[c]++
-			}
-		}
+	for c := range size {
+		size[c] = geneSet(tab.UpLen(c, minC)).count() + geneSet(tab.DownLen(c, minC)).count()
 	}
 	order := make([]int, nConds)
 	for c := range order {

@@ -251,6 +251,77 @@ func TestMineContextCancelled(t *testing.T) {
 	}
 }
 
+// TestVisitorCancelAndStopOneOutcome: a visitor that cancels the run's
+// context and then stops must see context.Canceled from every route — the
+// sequential miner, the worker pool, and a SubtreeMerger fed subtree by
+// subtree — never a truncated result from one route and an error from
+// another.
+func TestVisitorCancelAndStopOneOutcome(t *testing.T) {
+	m := randomMatrix(60, 10, 1)
+	p := Params{MinG: 3, MinC: 3, Gamma: 0.05, Epsilon: 0.4}
+	visitor := func(cancel context.CancelFunc) Visitor {
+		seen := 0
+		return func(*Bicluster) bool {
+			if seen++; seen == 3 {
+				cancel()
+				return false
+			}
+			return true
+		}
+	}
+	routes := []struct {
+		name string
+		run  func(ctx context.Context, visit Visitor) error
+	}{
+		{"workers 1", func(ctx context.Context, visit Visitor) error {
+			_, err := MineWith(ctx, m, p, Options{Workers: 1, Visit: visit})
+			return err
+		}},
+		{"workers 2", func(ctx context.Context, visit Visitor) error {
+			_, err := MineWith(ctx, m, p, Options{Workers: 2, Visit: visit})
+			return err
+		}},
+		{"workers 4", func(ctx context.Context, visit Visitor) error {
+			_, err := MineWith(ctx, m, p, Options{Workers: 4, Visit: visit})
+			return err
+		}},
+		{"subtree merger", func(ctx context.Context, visit Visitor) error {
+			models, err := BuildModels(m, p, nil)
+			if err != nil {
+				return err
+			}
+			g, err := NewSubtreeMerger(ctx, m, p, models, visit, nil, CheckpointConfig{})
+			if err != nil {
+				return err
+			}
+			for c := 0; c < m.Cols() && !g.Done(); c++ {
+				part := &SubtreePartial{Cond: c}
+				st, err := MineSubtreeFunc(ctx, m, p, c, models, func(sc SubtreeCluster) bool {
+					part.Clusters = append(part.Clusters, sc)
+					return true
+				})
+				if err != nil {
+					return err
+				}
+				part.Stats = st
+				if _, err := g.Offer(part); err != nil {
+					return err
+				}
+			}
+			_, err = g.Result()
+			return err
+		}},
+	}
+	for _, r := range routes {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := r.run(ctx, visitor(cancel))
+		cancel()
+		if err != context.Canceled {
+			t.Errorf("%s: err = %v, want context.Canceled", r.name, err)
+		}
+	}
+}
+
 func TestMineContextBackground(t *testing.T) {
 	m := randomMatrix(40, 9, 5)
 	p := Params{MinG: 3, MinC: 3, Gamma: 0.05, Epsilon: 0.4}

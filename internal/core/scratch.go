@@ -49,6 +49,81 @@ func (s condSet) appendClear(dst []int, n int) []int {
 	return dst
 }
 
+// geneSet is a bitset over gene indices (one uint64 word per 64 genes), in
+// the row layout of rwave.Tables, so node members and table rows combine
+// word by word.
+type geneSet []uint64
+
+// intersects reports whether s and o share a gene.
+func (s geneSet) intersects(o []uint64) bool {
+	o = o[:len(s)]
+	for w, x := range s {
+		if x&o[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// and stores a ∧ b into s and returns its population count.
+func (s geneSet) and(a geneSet, b []uint64) int {
+	a, b = a[:len(s)], b[:len(s)]
+	n := 0
+	for w := range s {
+		x := a[w] & b[w]
+		s[w] = x
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// keep intersects s with row in place and returns the remaining count. A nil
+// row is the empty set (an rwave.Tables length row past MaxLen).
+func (s geneSet) keep(row []uint64) int {
+	if row == nil {
+		clear(s)
+		return 0
+	}
+	return s.and(s, row)
+}
+
+// copyRow overwrites s with row, or clears it for a nil row, and returns the
+// population count.
+func (s geneSet) copyRow(row []uint64) int {
+	if row == nil {
+		clear(s)
+		return 0
+	}
+	copy(s, row)
+	return s.count()
+}
+
+func (s geneSet) count() int {
+	n := 0
+	for _, x := range s {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// appendMembers appends the members of the p-set ps and the n-set ns to dst
+// in node order: ascending gene, p before n.
+func appendMembers(dst []member, ps, ns geneSet) []member {
+	ns = ns[:len(ps)]
+	for w := range ps {
+		for x := ps[w] | ns[w]; x != 0; x &= x - 1 {
+			g, bit := w<<6|bits.TrailingZeros64(x), x&-x
+			if ps[w]&bit != 0 {
+				dst = append(dst, member{g, true})
+			}
+			if ns[w]&bit != 0 {
+				dst = append(dst, member{g, false})
+			}
+		}
+	}
+	return dst
+}
+
 // frame is the reusable working set of one recursion depth: the candidate
 // conditions, the surviving extensions with their H scores, the validated
 // sliding windows, and the member list handed to the child node. A depth's
@@ -69,6 +144,19 @@ type scratch struct {
 	candSeen condSet // candidate dedup within one extend (replaces the seen map)
 	root     []member
 	frames   []*frame
+
+	// The bit-sliced chain levels (see extendBits): ps[ℓ-1] and ns[ℓ-1] hold
+	// the p- and n-members of the current node at chain length ℓ = 1, 2, and
+	// ps[2], ns[2] the survivors of the level-2 candidate being scored. One
+	// backing, carved in ensure.
+	ps, ns [3]geneSet
+	// buckets counts level-2 survivors per ε-wide score bucket, direct-mapped
+	// mod 256 and saturating (all zero between candidates), and slots records
+	// each survivor's slot; scores holds their bare H values for the exact
+	// window check.
+	buckets [256]uint8
+	slots   []uint8
+	scores  []float64
 }
 
 // ensure sizes the arena for an nGenes×nConds matrix; it runs once per
@@ -80,8 +168,18 @@ func (s *scratch) ensure(nGenes, nConds int) {
 	if s.inChain != nil {
 		return
 	}
-	s.inChain = newCondSet(nConds)
-	s.candSeen = newCondSet(nConds)
+	// One backing holds both condition sets and every gene set.
+	cw, gw := (nConds+63)/64, (nGenes+63)/64
+	sets := make([]uint64, 2*cw+2*len(s.ps)*gw)
+	carve := func(n int) []uint64 {
+		v := sets[:n:n]
+		sets = sets[n:]
+		return v
+	}
+	s.inChain, s.candSeen = carve(cw), carve(cw)
+	for i := range s.ps {
+		s.ps[i], s.ns[i] = carve(gw), carve(gw)
+	}
 	s.chain = make([]int, 0, nConds)
 	s.root = make([]member, 0, 2*nGenes)
 }

@@ -54,6 +54,12 @@ type Model struct {
 	succStart   []int     // rank -> smallest successor rank (== Conditions() when none)
 	predEnd     []int     // rank -> largest predecessor rank (== -1 when none)
 	valueByCond []float64 // condition index -> expression value (row copy)
+
+	// tables is the condition-pair table backing of the set this model was
+	// last packed into (see Tables), slot its position in that set; nil for
+	// a model that was never packed.
+	tables []uint64
+	slot   int
 }
 
 // slabIntStripes and slabFloatStripes are the per-gene stripe counts of the

@@ -57,9 +57,13 @@ func (s ModelSlab) Contains(mod *Model) bool {
 // the pack — in practice PackModels runs once, at the end of a build, before
 // the set escapes.
 //
-// The pack performs exactly two heap allocations regardless of gene count
-// (the int backing and the float backing); the per-model mini-slabs it
-// replaces become garbage. Float64 values are copied bit for bit.
+// The same pass builds the set's condition-pair tables (see Tables) and
+// points every model at them, so whoever holds the set holds its tables.
+//
+// The pack performs exactly three heap allocations regardless of gene count
+// (the int backing, the float backing and the table backing); the per-model
+// mini-slabs it replaces become garbage. Float64 values are copied bit for
+// bit.
 func PackModels(models []*Model) ModelSlab {
 	if len(models) == 0 {
 		return ModelSlab{}
@@ -84,6 +88,12 @@ func PackModels(models []*Model) ModelSlab {
 		copy(floats[1*n:2*n], mod.valueByCond)
 		mod.bindStripes(ints, floats, n)
 	}
+	maxLen := longestChain(models)
+	tables := make([]uint64, tableSize(len(models), n, maxLen))
+	writeTables(tables, models, n, maxLen)
+	for g, mod := range models {
+		mod.tables, mod.slot = tables, g
+	}
 	return s
 }
 
@@ -100,6 +110,9 @@ type Kernel struct {
 	UpLen       []int     // rank -> longest upward regulation chain from this rank
 	DownLen     []int     // rank -> longest downward regulation chain from this rank
 	ValueByCond []float64 // condition index -> expression value
+
+	tables []uint64 // the set's condition-pair table backing (see TablesOf)
+	slot   int      // this view's bit in those tables
 }
 
 // Kernel returns the flat view of mod.
@@ -112,16 +125,28 @@ func (mod *Model) Kernel() Kernel {
 		UpLen:       mod.upLen,
 		DownLen:     mod.downLen,
 		ValueByCond: mod.valueByCond,
+		tables:      mod.tables,
+		slot:        mod.slot,
 	}
 }
 
 // Kernels returns one flat view per model, in one contiguous slice. The
-// result is cheap to build (one allocation, header copies only), immutable by
-// convention, and safe to share read-only across concurrent miners.
+// result is immutable by convention and safe to share read-only across
+// concurrent miners. Every view carries the set's condition-pair tables
+// (TablesOf): a set PackModels produced keeps its own, at the cost of one
+// allocation and header copies; a set that was never packed (or was
+// reassembled from several packs) gets tables built for these views, while
+// its models stay untouched.
 func Kernels(models []*Model) []Kernel {
 	out := make([]Kernel, len(models))
 	for g, mod := range models {
 		out[g] = mod.Kernel()
+	}
+	if len(out) > 0 && !packIn(out) {
+		tables := buildTables(models)
+		for g := range out {
+			out[g].tables, out[g].slot = tables, g
+		}
 	}
 	return out
 }

@@ -325,6 +325,7 @@ type jobManager struct {
 	order   []string // submission order for listing
 	seq     int
 	closed  bool
+	drained bool           // a drain returned: no job runs or can start again
 	running sync.WaitGroup // one count per live mining goroutine
 }
 
@@ -1027,6 +1028,22 @@ func (m *jobManager) cancelJob(id string) (*Job, bool) {
 // runningCount returns the number of jobs currently holding a mining slot.
 func (m *jobManager) runningCount() int { return m.sched.runningSlots() }
 
+// stop ends every job before the server's durable resources go away: unless
+// a drain already returned, it drains with an expired grace period, so
+// running jobs are cancelled (interrupted, on a durable server) and awaited,
+// settlement writes included.
+func (m *jobManager) stop() {
+	m.mu.Lock()
+	drained := m.drained
+	m.mu.Unlock()
+	if drained {
+		return
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = m.drain(expired)
+}
+
 // isClosed reports whether drain has begun: the manager no longer accepts
 // submissions, so readiness probes should steer traffic elsewhere.
 func (m *jobManager) isClosed() bool {
@@ -1068,6 +1085,11 @@ func (m *jobManager) drain(ctx context.Context) error {
 	go func() {
 		m.running.Wait()
 		close(finished)
+	}()
+	defer func() {
+		m.mu.Lock()
+		m.drained = true
+		m.mu.Unlock()
 	}()
 	select {
 	case <-finished:

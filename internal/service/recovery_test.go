@@ -6,10 +6,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -448,4 +453,61 @@ func countNDJSONLines(r interface{ Read([]byte) (int, error) }) (int, error) {
 		n++
 	}
 	return n, sc.Err()
+}
+
+// TestCloseStopsJobsBeforeJournal: Close without a prior Shutdown must stop
+// every job before it closes the journal. The job's result write is delayed,
+// so when the job is visibly done its durable writes are still pending;
+// Close must wait for them, and nothing may reach the journal afterwards.
+func TestCloseStopsJobsBeforeJournal(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	var (
+		logMu sync.Mutex
+		logs  []string
+	)
+	dir := t.TempDir()
+	srv, ts := openTestServer(t, Config{DataDir: dir, Logf: func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}})
+	id := uploadMatrix(t, ts, paperdata.RunningExample(), "closing")
+	const delay = 300 * time.Millisecond
+	faultinject.Arm("persist.result", faultinject.Spec{Delay: delay, After: math.MaxInt32})
+	j := submitJob(t, ts, submitRequest{Dataset: id, Params: core.Params{MinG: 3, MinC: 5, Gamma: 0.15, Epsilon: 0.1}})
+	if v := waitTerminal(t, ts, j.ID); v.Status != StatusDone {
+		t.Fatalf("job ended %s: %s", v.Status, v.Error)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The done record follows the delayed result write, so finding it
+	// proves Close waited for the settlement.
+	journal := filepath.Join(dir, journalFileName)
+	before, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := false
+	for _, line := range strings.Split(string(before), "\n") {
+		settled = settled || strings.Contains(line, `"type":"done"`) && strings.Contains(line, `"job":"`+j.ID+`"`)
+	}
+	if !settled {
+		t.Fatalf("journal lacks the job's terminal record at Close:\n%s", before)
+	}
+	time.Sleep(delay)
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("journal changed after Close returned:\n%s", after[len(before):])
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	for _, l := range logs {
+		if strings.Contains(l, "journal") {
+			t.Fatalf("journal write failed after Close: %s", l)
+		}
+	}
 }

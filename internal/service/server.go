@@ -338,8 +338,12 @@ func New(cfg Config) *Server {
 }
 
 // Close releases the server's durable resources (the journal file handle)
-// and stops the runtime sampler. Call it after Shutdown.
+// and stops the runtime sampler. Call it after Shutdown; without one, Close
+// first drains with an expired grace period — running jobs are cancelled and
+// awaited, their settlement writes included — so no job appends to the
+// journal once Close returns.
 func (s *Server) Close() error {
+	s.jobs.stop()
 	s.sampler.Stop()
 	if s.wal != nil {
 		return s.wal.close()

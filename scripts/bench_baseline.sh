@@ -4,11 +4,14 @@
 # Usage:
 #   scripts/bench_baseline.sh OUT.json [SPEC ...]
 #
-# Each SPEC is "<-bench regex>@<-benchtime>"; the default set covers the
-# E1-E8 evaluation benchmarks of bench_test.go at iteration counts that keep
-# the whole recording under a few minutes. One `go test` run per spec, all
-# outputs concatenated and parsed by cmd/benchdiff into ns/op, B/op and
-# allocs/op per benchmark.
+# Each SPEC is "<-bench regex>@<-benchtime>[@<package>]"; the package
+# defaults to the root one (".", bench_test.go). The default set covers the
+# E1-E8 evaluation benchmarks and E13's incremental re-mine at iteration
+# counts that keep the whole recording under a few minutes, plus the kernel
+# microbenchmarks of internal/core and the condition-pair table build of
+# internal/rwave. One `go test` run per spec, all outputs concatenated and
+# parsed by cmd/benchdiff into ns/op, B/op and allocs/op per benchmark
+# (benchmark names are unique across the packages).
 #
 # BEST_OF=N (default 1) repeats every benchmark N times (go test -count N)
 # and records the fastest sample of each — min-of-N is far less noisy on a
@@ -17,6 +20,7 @@
 #   scripts/bench_baseline.sh BENCH_0.json                      # default set
 #   BEST_OF=3 scripts/bench_baseline.sh BENCH_0.json            # min-of-3
 #   scripts/bench_baseline.sh /tmp/b.json 'BenchmarkYeast$@5x'  # custom set
+#   scripts/bench_baseline.sh /tmp/k.json 'BenchmarkKernel@100x@./internal/core'
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +42,9 @@ if [ ${#SPECS[@]} -eq 0 ]; then
         'BenchmarkRWaveBuild$@5x'       # index construction phase
         'BenchmarkSweepSharedModel$@3x' # ε-sweep with/without the shared model set
         'BenchmarkOverlapStats$@5x'     # Section 5.2 overlap statistic
+        'BenchmarkIncrementalRemine$@3x' # E13: incremental vs cold re-mine
+        'BenchmarkKernel@100x@./internal/core'    # inner-loop kernels of the miner
+        'BenchmarkTablesBuild@10x@./internal/rwave' # condition-pair table build
     )
 fi
 
@@ -46,10 +53,10 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 for spec in "${SPECS[@]}"; do
-    regex=${spec%@*}
-    benchtime=${spec##*@}
-    echo ">> go test -bench '$regex' -benchtime $benchtime -count $BEST_OF" >&2
-    $GO test -run 'XXX_none' -bench "$regex" -benchtime "$benchtime" -count "$BEST_OF" -benchmem -timeout 30m . \
+    IFS=@ read -r regex benchtime pkg <<<"$spec"
+    pkg=${pkg:-.}
+    echo ">> go test -bench '$regex' -benchtime $benchtime -count $BEST_OF $pkg" >&2
+    $GO test -run 'XXX_none' -bench "$regex" -benchtime "$benchtime" -count "$BEST_OF" -benchmem -timeout 30m "$pkg" \
         | tee -a "$RAW" >&2
 done
 
