@@ -176,6 +176,24 @@ func BenchmarkRWaveBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildModels measures the index every mining run pays for before
+// its search: core.BuildModels on a 600×30 Figure 7 matrix (a cold-mine
+// upload) at the Figure 7 defaults — the per-gene RWave builds, the slab pack
+// and the condition-pair tables, which BenchmarkRWaveBuild's rwave.BuildAll
+// leaves out.
+func BenchmarkBuildModels(b *testing.B) {
+	m := genMatrix(b, 600, 30, 30)
+	p := experiments.MiningDefaults(600)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		models, err := core.BuildModels(m, p, nil)
+		if err != nil || len(models) != 600 {
+			b.Fatalf("build: %d models, %v", len(models), err)
+		}
+	}
+}
+
 // BenchmarkSweepSharedModel measures what the model cache buys an ε-sweep:
 // "rebuild" runs a 4-point sweep the naive way (each point constructs its own
 // RWave index), "shared" builds the index once and re-mines with it. The gap

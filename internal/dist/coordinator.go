@@ -690,8 +690,8 @@ func (c *Coordinator) handleDataset(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown dataset", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "text/tab-separated-values")
-	if err := m.WriteTSV(w); err != nil {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if _, err := w.Write(m.AppendCanonical(nil)); err != nil {
 		c.logf("dist: replicating %s: %v", id, err)
 	}
 }

@@ -16,7 +16,7 @@
 //	POST /dist/heartbeat           ship a batch of clusters + a subtree
 //	                               checkpoint; also carries completion (Done)
 //	                               and rejection (Error) of a lease
-//	GET  /dist/datasets/{id}       replicate a dataset by content hash (TSV)
+//	GET  /dist/datasets/{id}       replicate a dataset by content hash (canonical encoding)
 //
 // A lease names a subtree (condition index), the dataset content hash, the
 // mining Params, and a resume watermark Skip — the number of the subtree's

@@ -293,8 +293,9 @@ func (w *Worker) nack(ctx context.Context, lease *Lease, cause error) {
 }
 
 // replica returns the dataset for a content hash, fetching it from the
-// coordinator on first use. The fetched bytes are re-hashed and must match
-// the advertised id exactly — a worker never mines data it cannot verify.
+// coordinator on first use. The coordinator sends the matrix's canonical
+// encoding, so one SHA-256 over the body must equal the advertised id before
+// the body is decoded — a worker never mines data it cannot verify.
 func (w *Worker) replica(ctx context.Context, id string) (*matrix.Matrix, error) {
 	w.mu.Lock()
 	if m := w.datasets[id]; m != nil {
@@ -314,14 +315,17 @@ func (w *Worker) replica(ctx context.Context, id string) (*matrix.Matrix, error)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("dist: replica %s: %s", shortHash(id), resp.Status)
 	}
-	m, err := matrix.ReadTSV(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("dist: replica %s: %w", shortHash(id), err)
 	}
-	m.FillNaN()
-	if got := m.Hash(); got != id {
+	if got := matrix.HashCanonical(body); got != id {
 		return nil, fmt.Errorf("dist: replica hash %s does not match advertised %s; refusing corrupt data",
 			shortHash(got), shortHash(id))
+	}
+	m, err := matrix.DecodeCanonical(body)
+	if err != nil {
+		return nil, fmt.Errorf("dist: replica %s: %w", shortHash(id), err)
 	}
 	w.mu.Lock()
 	w.datasets[id] = m

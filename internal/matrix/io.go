@@ -2,12 +2,12 @@ package matrix
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"strconv"
-	"strings"
 )
 
 // ReadTSV parses a tab-separated expression matrix from r.
@@ -18,82 +18,117 @@ import (
 // with the gene name in the first field and one numeric expression value per
 // condition. Empty fields and the strings "NA", "NaN", "null" (any case)
 // parse as NaN. Lines starting with '#' and blank lines are skipped.
+//
+// The parser works on the scanner's line bytes: cells go straight into the
+// matrix's one backing slice, and names are copied out of the line, so no
+// per-line string or field list is built and no name keeps its line alive.
 func ReadTSV(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 
-	var colNames []string
-	var rowNames []string
-	var rows [][]float64
+	var (
+		colNames []string
+		rowNames []string
+		data     []float64
+		cols     int // values per row, fixed by the first data row
+	)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimRight(sc.Text(), "\r\n")
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimRight(sc.Bytes(), "\r")
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		fields := strings.Split(line, "\t")
-		if colNames == nil && rows == nil {
-			// Decide whether this first content line is a header: it is a
-			// header unless every field after the first parses as a number.
-			if isHeaderLine(fields) {
-				colNames = append([]string(nil), fields[1:]...)
+		if colNames == nil && rowNames == nil {
+			// A one-field header names no condition, so the next content
+			// line is still a header candidate.
+			if names, ok := headerNames(line); ok {
+				colNames = names
 				continue
 			}
 		}
-		if len(fields) < 2 {
+		name, rest, ok := bytes.Cut(line, tab)
+		if !ok {
 			return nil, fmt.Errorf("matrix: line %d: need a name and at least one value", lineNo)
 		}
-		vals := make([]float64, len(fields)-1)
-		for k, f := range fields[1:] {
-			v, err := parseCell(f)
+		n := 0
+		for more := true; more; n++ {
+			var field []byte
+			field, rest, more = bytes.Cut(rest, tab)
+			v, err := parseCell(field)
 			if err != nil {
-				return nil, fmt.Errorf("matrix: line %d field %d: %v", lineNo, k+2, err)
+				return nil, fmt.Errorf("matrix: line %d field %d: %v", lineNo, n+2, err)
 			}
-			vals[k] = v
+			data = append(data, v)
 		}
-		if len(rows) > 0 && len(vals) != len(rows[0]) {
-			return nil, fmt.Errorf("matrix: line %d: %d values, want %d", lineNo, len(vals), len(rows[0]))
+		if rowNames == nil {
+			cols = n
+		} else if n != cols {
+			return nil, fmt.Errorf("matrix: line %d: %d values, want %d", lineNo, n, cols)
 		}
-		rowNames = append(rowNames, fields[0])
-		rows = append(rows, vals)
+		rowNames = append(rowNames, string(name))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("matrix: read: %v", err)
 	}
-	if len(rows) == 0 {
+	if len(rowNames) == 0 {
 		return nil, fmt.Errorf("matrix: empty input")
 	}
-	if colNames != nil && len(colNames) != len(rows[0]) {
-		return nil, fmt.Errorf("matrix: header has %d conditions but rows have %d", len(colNames), len(rows[0]))
+	if colNames != nil && len(colNames) != cols {
+		return nil, fmt.Errorf("matrix: header has %d conditions but rows have %d", len(colNames), cols)
 	}
-	m := FromRows(rows)
-	copy(m.rowNames, rowNames)
-	if colNames != nil {
-		copy(m.colNames, colNames)
-	}
-	return m, nil
-}
-
-func isHeaderLine(fields []string) bool {
-	if len(fields) < 2 {
-		return true
-	}
-	for _, f := range fields[1:] {
-		if _, err := parseCell(f); err != nil {
-			return true
+	if colNames == nil {
+		colNames = make([]string, cols)
+		for j := range colNames {
+			colNames[j] = "c" + strconv.Itoa(j)
 		}
 	}
-	return false
+	return &Matrix{rows: len(rowNames), cols: cols, data: data, rowNames: rowNames, colNames: colNames}, nil
 }
 
-func parseCell(s string) (float64, error) {
-	s = strings.TrimSpace(s)
-	switch strings.ToLower(s) {
-	case "", "na", "nan", "null":
+var tab = []byte{'\t'}
+
+// headerNames reports whether a first content line is a header — it is one
+// unless it has a value field and every field after the first parses as a
+// number — and copies its condition names, nil for a one-field header.
+func headerNames(line []byte) (names []string, header bool) {
+	_, rest, ok := bytes.Cut(line, tab)
+	if !ok {
+		return nil, true
+	}
+	for more := true; more; {
+		var field []byte
+		field, rest, more = bytes.Cut(rest, tab)
+		if _, err := parseCell(field); err != nil {
+			header = true
+		}
+		names = append(names, string(field))
+	}
+	return names, header
+}
+
+// parseCell parses one value field. Surrounding white space is ignored; an
+// empty field and NA, NaN or null in any case of ASCII letters are missing
+// values. ParseFloat sees the trimmed text, so its error names it exactly.
+func parseCell(b []byte) (float64, error) {
+	b = bytes.TrimSpace(b)
+	if len(b) == 0 || asciiFold(b, "na") || asciiFold(b, "nan") || asciiFold(b, "null") {
 		return math.NaN(), nil
 	}
-	return strconv.ParseFloat(s, 64)
+	return strconv.ParseFloat(string(b), 64)
+}
+
+// asciiFold reports whether b equals the lower-case ASCII word w in any case.
+func asciiFold(b []byte, w string) bool {
+	if len(b) != len(w) {
+		return false
+	}
+	for i := range b {
+		if b[i]|0x20 != w[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadTSVFile reads a matrix from the named file via ReadTSV.

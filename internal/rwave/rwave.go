@@ -60,6 +60,11 @@ type Model struct {
 	// a model that was never packed.
 	tables []uint64
 	slot   int
+
+	// views holds the Kernels result of the set this model heads (slot 0)
+	// once one was asked for, so every run over a shared packed set reuses
+	// one slice of views; PackModels clears it.
+	views atomic.Pointer[[]Kernel]
 }
 
 // slabIntStripes and slabFloatStripes are the per-gene stripe counts of the

@@ -93,6 +93,7 @@ func PackModels(models []*Model) ModelSlab {
 	writeTables(tables, models, n, maxLen)
 	for g, mod := range models {
 		mod.tables, mod.slot = tables, g
+		mod.views.Store(nil)
 	}
 	return s
 }
@@ -131,22 +132,55 @@ func (mod *Model) Kernel() Kernel {
 }
 
 // Kernels returns one flat view per model, in one contiguous slice. The
-// result is immutable by convention and safe to share read-only across
-// concurrent miners. Every view carries the set's condition-pair tables
-// (TablesOf): a set PackModels produced keeps its own, at the cost of one
-// allocation and header copies; a set that was never packed (or was
-// reassembled from several packs) gets tables built for these views, while
-// its models stay untouched.
+// result is immutable and shared: callers read it, concurrently if they
+// like, and never write to it. Every view carries the set's condition-pair
+// tables (TablesOf). A set PackModels produced keeps its own, and its views
+// are built once — the first call stores them with the set, and every later
+// call over the same set (each lease of a distributed run, each job sharing
+// a cached model set) returns that slice. A set that was never packed (or
+// was reassembled from several packs) gets fresh views and tables built for
+// them on every call, while its models stay untouched.
 func Kernels(models []*Model) []Kernel {
+	packed := packedSet(models)
+	if packed {
+		if v := models[0].views.Load(); v != nil {
+			return *v
+		}
+	}
 	out := make([]Kernel, len(models))
 	for g, mod := range models {
 		out[g] = mod.Kernel()
 	}
-	if len(out) > 0 && !packIn(out) {
+	if packed {
+		if !models[0].views.CompareAndSwap(nil, &out) {
+			return *models[0].views.Load()
+		}
+		return out
+	}
+	if len(out) > 0 {
 		tables := buildTables(models)
 		for g := range out {
 			out[g].tables, out[g].slot = tables, g
 		}
 	}
 	return out
+}
+
+// packedSet reports whether models is exactly the sequence of models one
+// PackModels call packed: one table backing sized for them, each model in
+// its own slot. It is packIn's test, read off the models instead of views.
+func packedSet(models []*Model) bool {
+	if len(models) == 0 {
+		return false
+	}
+	first := models[0].tables
+	if len(first) < tableHeader || first[0] != uint64(len(models)) || first[1] != uint64(len(models[0].rank)) {
+		return false
+	}
+	for g, mod := range models {
+		if mod.slot != g || len(mod.tables) != len(first) || &mod.tables[0] != &first[0] {
+			return false
+		}
+	}
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"regcluster/internal/matrix"
@@ -260,4 +261,59 @@ func TestKernelMatchesModelAccessors(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelsBuiltOncePerPackedSet: a packed set's views are built by the
+// first Kernels call and returned, without allocating, by every later one;
+// a repack replaces them, and a set that was never packed as a whole gets
+// fresh views each time.
+func TestKernelsBuiltOncePerPackedSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	m := randomMatrix(rng, 70, 9)
+	models := make([]*Model, m.Rows())
+	for g := range models {
+		models[g] = Build(m, g, 0.2)
+	}
+	PackModels(models)
+	first := Kernels(models)
+	again := Kernels(append([]*Model(nil), models...))
+	if &again[0] != &first[0] {
+		t.Fatal("a second Kernels call over the same packed set rebuilt its views")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Kernels(models) }); allocs != 0 {
+		t.Fatalf("Kernels over a packed set allocated %.1f times per call", allocs)
+	}
+	TablesOf(first) // the shared views still carry their tables
+
+	// Concurrent first calls after a repack all get the one stored slice.
+	PackModels(models)
+	got := make([][]Kernel, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Kernels(models)
+		}()
+	}
+	wg.Wait()
+	repacked := got[0]
+	for _, k := range got[1:] {
+		if &k[0] != &repacked[0] {
+			t.Fatal("concurrent first Kernels calls returned different views")
+		}
+	}
+	if &repacked[0] == &first[0] {
+		t.Fatal("views of a repacked set survived the repack")
+	}
+	if repacked[0].tables[0] != uint64(len(models)) || &repacked[0].tables[0] != &models[0].tables[0] {
+		t.Fatal("views of a repacked set do not carry its new tables")
+	}
+
+	part := models[:40]
+	a, b := Kernels(part), Kernels(part)
+	if &a[0] == &b[0] {
+		t.Fatal("views of a partial set were shared")
+	}
+	checkTables(t, "partial", a, TablesOf(a))
 }

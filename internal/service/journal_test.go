@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"regcluster/internal/core"
+	"regcluster/internal/paperdata"
 	"regcluster/internal/report"
 )
 
@@ -172,10 +173,14 @@ func TestReplayRecordsReconcilesOverlap(t *testing.T) {
 func TestBootCorruptDataDir(t *testing.T) {
 	dir := t.TempDir()
 	var lc logCapture
-	// Garbage journal, garbage dataset, stale tmp litter.
+	// Garbage journal, garbage dataset, a truncated dataset file, stale tmp
+	// litter.
 	writeJournalLines(t, dir, `{"type":`, `garbage`)
+	trunc := paperdata.RunningExample()
+	full := trunc.AppendCanonical([]byte(datasetFormat + "{}\n"))
 	for _, f := range []struct{ sub, name, body string }{
 		{datasetsDirName, "deadbeef.tsv", "not\ta\tmatrix"},
+		{datasetsDirName, trunc.Hash() + datasetExt, string(full[:len(full)/2])},
 		{datasetsDirName, tmpPrefix + "123", "partial"},
 		{resultsDirName, "badresult.json", "{corrupt"},
 	} {

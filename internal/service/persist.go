@@ -18,11 +18,24 @@ import (
 
 // Durable layout under Config.DataDir:
 //
-//	datasets/<id>.tsv    canonical TSV of a registered matrix (content-addressed,
-//	                     so every file is self-verifying against its name)
-//	datasets/<id>.json   upload metadata (name, time, imputed cells)
-//	results/<key>.json   one settled result per cache key (clusters + stats)
-//	journal.wal          append-only job journal (see journal.go)
+//	datasets/<id>.dataset  one registered matrix plus its upload metadata
+//	results/<key>.json     one settled result per cache key (clusters + stats)
+//	journal.wal            append-only job journal (see journal.go)
+//
+// A dataset file holds three parts, written with one atomic write:
+//
+//	regcluster.dataset/v1\n                          format line
+//	{"name":…,"uploaded_at":…,"imputed_cells":…}\n  metadata, one JSON line
+//	canonical matrix encoding                        matrix.AppendCanonical
+//
+// The canonical part is exactly the byte stream matrix.Hash digests, so the
+// file is self-verifying against its content-addressed name: boot runs one
+// SHA-256 over that part and decodes it (no TSV parse, no second hash) only
+// when the digest is <id>. Data-dirs written before this format hold each
+// dataset as datasets/<id>.tsv (WriteTSV) plus a datasets/<id>.json metadata
+// sidecar. Boot still reads such a pair: it parses the TSV, checks that the
+// matrix hashes to <id>, rewrites the dataset as <id>.dataset and removes the
+// pair, so every legacy dataset is upgraded once and keeps its ID.
 //
 // Every file is written atomically: the bytes go to a tmp file in the target
 // directory, are fsynced, and the tmp is renamed over the destination (with a
@@ -110,44 +123,114 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// datasetMeta is the sidecar JSON of one persisted dataset.
+// datasetMeta is the metadata line of a dataset file (and the whole of a
+// legacy <id>.json sidecar).
 type datasetMeta struct {
 	Name         string    `json:"name"`
 	UploadedAt   time.Time `json:"uploaded_at"`
 	ImputedCells int       `json:"imputed_cells"`
 }
 
+// datasetFormat opens every dataset file.
+const datasetFormat = "regcluster.dataset/v1\n"
+
+// Dataset file extensions: the current format, and the legacy TSV + JSON
+// pair boot upgrades.
+const (
+	datasetExt    = ".dataset"
+	legacyTSVExt  = ".tsv"
+	legacyMetaExt = ".json"
+)
+
 func (s *store) datasetPath(id, ext string) string {
 	return filepath.Join(s.dir, datasetsDirName, id+ext)
 }
 
-// saveDataset persists a registered dataset: canonical TSV plus metadata.
+// saveDataset persists a registered dataset as one file: format line,
+// metadata, canonical matrix encoding.
 func (s *store) saveDataset(ds *Dataset) error {
 	if err := faultinject.Hook("persist.dataset"); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := ds.Matrix().WriteTSV(&buf); err != nil {
-		return err
-	}
-	if err := writeFileAtomic(s.datasetPath(ds.ID, ".tsv"), buf.Bytes()); err != nil {
 		return err
 	}
 	meta, err := json.Marshal(datasetMeta{Name: ds.Name, UploadedAt: ds.UploadedAt, ImputedCells: ds.ImputedCells})
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(s.datasetPath(ds.ID, ".json"), meta)
+	buf := append(append([]byte(datasetFormat), meta...), '\n')
+	return writeFileAtomic(s.datasetPath(ds.ID, datasetExt), ds.Matrix().AppendCanonical(buf))
 }
 
 func (s *store) deleteDataset(id string) {
-	os.Remove(s.datasetPath(id, ".tsv"))
-	os.Remove(s.datasetPath(id, ".json"))
+	os.Remove(s.datasetPath(id, datasetExt))
+	s.deleteLegacyDataset(id)
+}
+
+func (s *store) deleteLegacyDataset(id string) {
+	os.Remove(s.datasetPath(id, legacyTSVExt))
+	os.Remove(s.datasetPath(id, legacyMetaExt))
+}
+
+// decodeDataset verifies the contents of datasets/<id>.dataset against id
+// and rebuilds the dataset. Only the metadata line may be damaged without
+// losing the dataset: its fields then take their defaults, as a missing
+// legacy sidecar's do.
+func (s *store) decodeDataset(id string, raw []byte) (*Dataset, error) {
+	rest, ok := bytes.CutPrefix(raw, []byte(datasetFormat))
+	if !ok {
+		return nil, fmt.Errorf("not a %q file", strings.TrimSpace(datasetFormat))
+	}
+	line, canon, ok := bytes.Cut(rest, []byte{'\n'})
+	if !ok {
+		return nil, fmt.Errorf("truncated metadata")
+	}
+	if got := matrix.HashCanonical(canon); got != id {
+		return nil, fmt.Errorf("matrix hashes to %s", shortID(got))
+	}
+	m, err := matrix.DecodeCanonical(canon)
+	if err != nil {
+		return nil, err
+	}
+	meta := s.datasetMeta(id, line)
+	return newDataset(m, id, meta.Name, meta.ImputedCells, meta.UploadedAt), nil
+}
+
+// datasetMeta decodes a metadata line, falling back to defaults (with a
+// warning) when it is missing or corrupt.
+func (s *store) datasetMeta(id string, raw []byte) datasetMeta {
+	meta := datasetMeta{Name: "dataset-" + shortID(id), UploadedAt: time.Now().UTC()}
+	if raw != nil {
+		if err := json.Unmarshal(raw, &meta); err != nil {
+			s.logf("service: dataset %s metadata corrupt (%v); using defaults", id, err)
+		}
+	}
+	return meta
+}
+
+// loadLegacyDataset reads a dataset in the TSV + JSON form, verifying the
+// parsed matrix against id.
+func (s *store) loadLegacyDataset(id string) (*Dataset, error) {
+	m, err := matrix.ReadTSVFile(s.datasetPath(id, legacyTSVExt))
+	if err != nil {
+		return nil, err
+	}
+	m.FillNaN() // persisted matrices are already imputed; normalize anyway
+	if got := m.Hash(); got != id {
+		return nil, fmt.Errorf("matrix hashes to %s", shortID(got))
+	}
+	raw, err := os.ReadFile(s.datasetPath(id, legacyMetaExt))
+	if err != nil {
+		raw = nil
+	}
+	meta := s.datasetMeta(id, raw)
+	return newDataset(m, id, meta.Name, meta.ImputedCells, meta.UploadedAt), nil
 }
 
 // loadDatasets reads every persisted dataset, verifying each file against its
 // content-addressed name; corrupt or mismatched files are skipped with a
 // warning, never fatal — recovery prefers a partial registry over no boot.
+// Legacy TSV + JSON pairs are upgraded to the current format as they load; a
+// pair whose dataset already loaded from a current file is what an upgrade
+// interrupted by a crash leaves behind, and is removed.
 func (s *store) loadDatasets() []*Dataset {
 	dir := filepath.Join(s.dir, datasetsDirName)
 	entries, err := os.ReadDir(dir)
@@ -156,29 +239,43 @@ func (s *store) loadDatasets() []*Dataset {
 		return nil
 	}
 	var out []*Dataset
+	loaded := make(map[string]bool)
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".tsv") || strings.HasPrefix(name, tmpPrefix) {
+		id, ok := strings.CutSuffix(e.Name(), datasetExt)
+		if !ok || strings.HasPrefix(id, tmpPrefix) {
 			continue
 		}
-		id := strings.TrimSuffix(name, ".tsv")
-		m, err := matrix.ReadTSVFile(filepath.Join(dir, name))
-		if err != nil {
-			s.logf("service: dataset %s unreadable (%v); skipping", id, err)
-			continue
-		}
-		m.FillNaN() // persisted matrices are already imputed; normalize anyway
-		if got := m.Hash(); got != id {
-			s.logf("service: dataset file %s hashes to %s; corrupt, skipping", id, got)
-			continue
-		}
-		meta := datasetMeta{Name: "dataset-" + id[:12], UploadedAt: time.Now().UTC()}
-		if raw, err := os.ReadFile(s.datasetPath(id, ".json")); err == nil {
-			if err := json.Unmarshal(raw, &meta); err != nil {
-				s.logf("service: dataset %s metadata corrupt (%v); using defaults", id, err)
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			var ds *Dataset
+			if ds, err = s.decodeDataset(id, raw); err == nil {
+				out = append(out, ds)
+				loaded[id] = true
+				continue
 			}
 		}
-		out = append(out, newDataset(m, meta.Name, meta.ImputedCells, meta.UploadedAt))
+		s.logf("service: dataset file %s unusable (%v); skipping", shortID(id), err)
+	}
+	for _, e := range entries {
+		id, ok := strings.CutSuffix(e.Name(), legacyTSVExt)
+		if !ok || strings.HasPrefix(id, tmpPrefix) {
+			continue
+		}
+		if loaded[id] {
+			s.deleteLegacyDataset(id)
+			continue
+		}
+		ds, err := s.loadLegacyDataset(id)
+		if err != nil {
+			s.logf("service: legacy dataset %s unusable (%v); skipping", shortID(id), err)
+			continue
+		}
+		if err := s.saveDataset(ds); err != nil {
+			s.logf("service: dataset %s: upgrade to %s failed (%v); keeping the TSV", shortID(id), datasetExt, err)
+		} else {
+			s.deleteLegacyDataset(id)
+		}
+		out = append(out, ds)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].UploadedAt.Equal(out[j].UploadedAt) {

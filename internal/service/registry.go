@@ -10,10 +10,10 @@ import (
 	"regcluster/internal/matrix"
 )
 
-// RowStat is the precomputed per-gene profile summary of a registered
-// dataset: the Equation 4 inputs (range) plus the usual moments, computed
-// once at upload so that parameter-exploration clients and the threshold
-// endpoints never rescan the matrix.
+// RowStat is the per-gene profile summary of a registered dataset: the
+// Equation 4 inputs (range) plus the usual moments, computed once, on the
+// first read of the dataset's detail, so that parameter-exploration clients
+// never rescan the matrix and uploads that are only mined never pay for it.
 type RowStat struct {
 	Gene  string  `json:"gene"`
 	Min   float64 `json:"min"`
@@ -42,8 +42,9 @@ type Dataset struct {
 	// matrix is the parent.
 	Delta *DeltaInfo `json:"delta,omitempty"`
 
-	mat      *matrix.Matrix
-	rowStats []RowStat
+	mat          *matrix.Matrix
+	rowStatsOnce sync.Once
+	rowStats     []RowStat
 }
 
 // Delta axes: which dimension an append grew.
@@ -66,8 +67,15 @@ type DeltaInfo struct {
 // registered; callers must not modify it.
 func (d *Dataset) Matrix() *matrix.Matrix { return d.mat }
 
-// RowStats returns the precomputed per-gene summaries.
-func (d *Dataset) RowStats() []RowStat { return d.rowStats }
+// RowStats returns the per-gene summaries, computing them on the first call.
+func (d *Dataset) RowStats() []RowStat {
+	d.rowStatsOnce.Do(func() {
+		if d.mat != nil {
+			d.rowStats = computeRowStats(d.mat)
+		}
+	})
+	return d.rowStats
+}
 
 // registrySource adapts the registry to the coordinator's replication
 // interface: workers fetch datasets by the same content hash the registry
@@ -114,7 +122,7 @@ func (r *registry) add(name string, tsv io.Reader) (ds *Dataset, created bool, e
 	if r.max > 0 && len(r.byID) >= r.max {
 		return nil, false, fmt.Errorf("service: dataset registry full (%d datasets); delete one first", len(r.byID))
 	}
-	ds = newDataset(m, name, imputed, time.Now().UTC())
+	ds = newDataset(m, id, name, imputed, time.Now().UTC())
 	r.byID[ds.ID] = ds
 	return ds, true, nil
 }
@@ -162,19 +170,19 @@ func (r *registry) appendDelta(parentID, axis, name string, tsv io.Reader) (ds *
 	if name == "" {
 		name = parent.Name + "+delta"
 	}
-	ds = newDataset(grown, name, parent.ImputedCells+imputed, time.Now().UTC())
+	ds = newDataset(grown, id, name, parent.ImputedCells+imputed, time.Now().UTC())
 	ds.Delta = &DeltaInfo{Parent: parentID, Axis: axis,
 		OldConds: parent.mat.Cols(), OldGenes: parent.mat.Rows()}
 	r.byID[ds.ID] = ds
 	return ds, true, nil
 }
 
-// newDataset builds the registry entry of an already-imputed matrix; the
-// upload path and boot-time recovery share it so a restored dataset is
-// indistinguishable from a freshly uploaded one (same defaulted name, same
-// precomputed row stats).
-func newDataset(m *matrix.Matrix, name string, imputed int, uploadedAt time.Time) *Dataset {
-	id := m.Hash()
+// newDataset builds the registry entry of an already-imputed matrix whose
+// content hash the caller computed (id == m.Hash()); the upload path and
+// boot-time recovery share it so a restored dataset is indistinguishable from
+// a freshly uploaded one (same defaulted name, same lazily computed row
+// stats).
+func newDataset(m *matrix.Matrix, id, name string, imputed int, uploadedAt time.Time) *Dataset {
 	if name == "" {
 		name = "dataset-" + id[:12]
 	}
@@ -184,7 +192,6 @@ func newDataset(m *matrix.Matrix, name string, imputed int, uploadedAt time.Time
 		ImputedCells: imputed,
 		UploadedAt:   uploadedAt,
 		mat:          m,
-		rowStats:     computeRowStats(m),
 	}
 }
 

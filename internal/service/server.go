@@ -9,7 +9,7 @@
 //	POST /datasets?name=N         upload a TSV matrix (idempotent by content hash)
 //	GET  /datasets                list datasets
 //	GET  /datasets/{id}           dataset detail including per-gene row stats
-//	GET  /datasets/{id}/tsv       download the canonical TSV serialization
+//	GET  /datasets/{id}/tsv       download the matrix as TSV
 //	DELETE /datasets/{id}         unregister a dataset
 //	POST /datasets/{id}/append    grow a dataset by a delta TSV (?axis=conditions|genes)
 //	GET  /datasets/{id}/diff/{p}  result diff vs dataset p (regcluster.diff/v1)
@@ -484,7 +484,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // datasetView is the JSON form of a dataset; row stats only on detail.
 type datasetView struct {
-	Dataset
+	*Dataset
 	RowStats []RowStat `json:"row_stats,omitempty"`
 }
 
@@ -514,14 +514,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if created {
 		status = http.StatusCreated
 	}
-	writeJSON(w, status, datasetView{Dataset: *ds})
+	writeJSON(w, status, datasetView{Dataset: ds})
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
 	list := s.registry.list()
 	views := make([]datasetView, len(list))
 	for i, ds := range list {
-		views[i] = datasetView{Dataset: *ds}
+		views[i] = datasetView{Dataset: ds}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"datasets": views})
 }
@@ -532,7 +532,7 @@ func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown dataset %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, datasetView{Dataset: *ds, RowStats: ds.RowStats()})
+	writeJSON(w, http.StatusOK, datasetView{Dataset: ds, RowStats: ds.RowStats()})
 }
 
 func (s *Server) handleDatasetTSV(w http.ResponseWriter, r *http.Request) {
@@ -599,7 +599,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		status = http.StatusCreated
 	}
-	writeJSON(w, status, datasetView{Dataset: *ds})
+	writeJSON(w, status, datasetView{Dataset: ds})
 }
 
 // DiffSchemaID identifies the result-diff document format.

@@ -7,11 +7,12 @@
 # Each SPEC is "<-bench regex>@<-benchtime>[@<package>]"; the package
 # defaults to the root one (".", bench_test.go). The default set covers the
 # E1-E8 evaluation benchmarks and E13's incremental re-mine at iteration
-# counts that keep the whole recording under a few minutes, plus the kernel
-# microbenchmarks of internal/core and the condition-pair table build of
-# internal/rwave. One `go test` run per spec, all outputs concatenated and
-# parsed by cmd/benchdiff into ns/op, B/op and allocs/op per benchmark
-# (benchmark names are unique across the packages).
+# counts that keep the whole recording under a few minutes, plus the index
+# build every run pays (core.BuildModels), the kernel microbenchmarks of
+# internal/core, the condition-pair table build of internal/rwave and the
+# TSV parse of internal/matrix. One `go test` run per spec, all outputs
+# concatenated and parsed by cmd/benchdiff into ns/op, B/op and allocs/op per
+# benchmark (benchmark names are unique across the packages).
 #
 # BEST_OF=N (default 1) repeats every benchmark N times (go test -count N)
 # and records the fastest sample of each — min-of-N is far less noisy on a
@@ -40,11 +41,13 @@ if [ ${#SPECS[@]} -eq 0 ]; then
         'BenchmarkRunningExample$@100x' # E6: Table 1 walk-through
         'BenchmarkPruningAblation$@1x'  # E8: pruning ablation
         'BenchmarkRWaveBuild$@5x'       # index construction phase
+        'BenchmarkBuildModels$@20x'     # the index a run builds: models, pack, tables
         'BenchmarkSweepSharedModel$@3x' # ε-sweep with/without the shared model set
         'BenchmarkOverlapStats$@5x'     # Section 5.2 overlap statistic
         'BenchmarkIncrementalRemine$@3x' # E13: incremental vs cold re-mine
         'BenchmarkKernel@100x@./internal/core'    # inner-loop kernels of the miner
         'BenchmarkTablesBuild@10x@./internal/rwave' # condition-pair table build
+        'BenchmarkReadTSV$@50x@./internal/matrix'  # parse of a 600x30 upload
     )
 fi
 
