@@ -9,7 +9,7 @@ GO ?= go
 COVER_FLOOR_CORE ?= 95.0
 COVER_FLOOR_SERVICE ?= 82.0
 
-.PHONY: build test vet race service-race check lint cover bench bench-baseline bench-compare bench-smoke bench-kernels perfbench-smoke profile serve-smoke crash-smoke dist-smoke overload-smoke incr-smoke
+.PHONY: build test vet race service-race stress check lint cover bench bench-baseline bench-compare bench-smoke bench-kernels perfbench-smoke profile serve-smoke crash-smoke dist-smoke overload-smoke incr-smoke
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,17 @@ race:
 # target is the fast gate while iterating on the service.
 service-race:
 	$(GO) test -race ./internal/service/... ./internal/faultinject/...
+
+# Repeat the concurrency-heavy suites to flush out order- and timing-
+# dependent failures: each internal/dist test alone at -count=20 (a test
+# that leaks a goroutine fails when repeated in isolation, not in the
+# suite), then shuffled repeats of the service and regserver suites.
+stress:
+	@for t in $$($(GO) test -list '.*' ./internal/dist | grep '^Test'); do \
+		echo "stress: $$t"; \
+		$(GO) test -count=20 -run "^$$t\$$" ./internal/dist || exit 1; \
+	done
+	$(GO) test -count=3 -shuffle=on ./internal/service ./cmd/regserver
 
 check: build vet race
 

@@ -241,10 +241,10 @@ func BenchmarkSweepSharedModel(b *testing.B) {
 // expression rungs at spacing 3 — under an absolute γ=2; the two appended
 // arrays land inside the baseline band, so they regulate only against the
 // six rungs and 24 of 32 subtrees splice from the parent run. The
-// incremental side pays RWave repair plus the dirty subtrees (each dirty
-// old root re-mined on both parent and child for the stats reconciliation);
-// both sides emit byte-identical output (pinned by the core differential
-// suite), so the delta is pure runtime.
+// incremental side is MineWith with Options.Parent: it pays RWave repair
+// plus mining the eight dirty subtrees; both sides emit byte-identical
+// output (pinned by the core differential suite), so the delta is pure
+// runtime.
 func BenchmarkIncrementalRemine(b *testing.B) {
 	const genes, baseConds, rungs, workers = 400, 24, 6, 4
 	parent := regcluster.NewMatrix(genes, baseConds+rungs)
@@ -306,11 +306,12 @@ func BenchmarkIncrementalRemine(b *testing.B) {
 			}
 			n := 0
 			visit := func(*core.Bicluster) bool { n++; return true }
-			_, info, err := core.MineIncremental(context.Background(), grown, parent, p,
-				workers, visit, nil, childModels, parentModels, parentResult)
+			res, err := core.MineWith(context.Background(), grown, p, core.Options{Workers: workers, Visit: visit,
+				Models: childModels, Parent: &core.Parent{Matrix: parent, Result: parentResult}})
 			if err != nil {
 				b.Fatal(err)
 			}
+			info := res.Incremental
 			if !info.Incremental {
 				b.Fatal("fell back to a cold mine:", info.Fallback)
 			}

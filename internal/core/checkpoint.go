@@ -75,10 +75,10 @@ type CheckpointConfig struct {
 
 func (cc CheckpointConfig) enabled() bool { return cc.OnCheckpoint != nil }
 
-// PanicError is returned (never re-thrown) by MineWith and MineIncremental
-// when a worker goroutine panicked: the panic is contained, every sibling
-// worker stops cooperatively, and the run fails with the recovered value and
-// the panicking goroutine's stack.
+// PanicError is returned (never re-thrown) by MineWith when a worker
+// goroutine of the parallel engine panicked: the panic is contained, every
+// sibling worker stops cooperatively, and the run fails with the recovered
+// value and the panicking goroutine's stack.
 type PanicError struct {
 	Value any
 	Stack []byte

@@ -15,33 +15,6 @@ import (
 	"regcluster/internal/rwave"
 )
 
-// TestStatsSubInvertsAdd mirrors TestStatsAddCoversAllFields: every counter
-// set by reflection must survive an Add followed by a sub unchanged, so a
-// Stats field extended into Add but forgotten in sub fails here instead of
-// silently skewing incremental aggregates.
-func TestStatsSubInvertsAdd(t *testing.T) {
-	var sentinel Stats
-	v := reflect.ValueOf(&sentinel).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		switch f.Kind() {
-		case reflect.Int:
-			f.SetInt(3)
-		case reflect.Bool:
-			f.SetBool(true)
-		default:
-			t.Fatalf("Stats field %s has unhandled kind %s — extend Stats.sub and this test",
-				v.Type().Field(i).Name, f.Kind())
-		}
-	}
-	got := sentinel
-	got.Add(sentinel)
-	got.sub(sentinel)
-	if !reflect.DeepEqual(got, sentinel) {
-		t.Fatalf("sub does not invert Add:\n  got  %+v\n  want %+v", got, sentinel)
-	}
-}
-
 // grownMatrix draws a random parent and appends k random conditions to it,
 // returning both the parent and the grown child.
 func grownMatrix(t *testing.T, rng *rand.Rand, rows, oldC, k int) (parent, child *matrix.Matrix) {
@@ -168,10 +141,19 @@ func TestDifferentialRepairVsBuildModels(t *testing.T) {
 	}
 }
 
+// mineOnParent runs MineWith on child with parent as Options.Parent,
+// streaming to visit.
+func mineOnParent(ctx context.Context, child, parent *matrix.Matrix, p Params, workers int, visit Visitor,
+	childModels []*rwave.Model, parentRes *Result) (*Result, error) {
+	return MineWith(ctx, child, p, Options{Workers: workers, Visit: visit, Models: childModels,
+		Parent: &Parent{Matrix: parent, Result: parentRes}})
+}
+
 // TestDifferentialIncrementalVsCold is the tentpole differential: on random
-// append deltas across all threshold schemes, MineIncremental's cluster
-// stream and Stats must be byte-identical to a cold parallel mine of the
-// grown matrix, at 1, 2 and 8 workers. Runs under -race in CI.
+// append deltas across all threshold schemes, a MineWith seeded with the
+// parent run must stream clusters and return Stats byte-identical to a cold
+// parallel mine of the grown matrix, at 1, 2 and 8 workers, and record the
+// same per-subtree Stats. Runs under -race in CI.
 func TestDifferentialIncrementalVsCold(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -202,9 +184,9 @@ func TestDifferentialIncrementalVsCold(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 8} {
 				var got []*Bicluster
-				stats, info, err := MineIncremental(context.Background(), child, parent, p, workers,
+				res, err := mineOnParent(context.Background(), child, parent, p, workers,
 					func(b *Bicluster) bool { got = append(got, b); return true },
-					nil, childModels, parentModels, parentRes)
+					childModels, parentRes)
 				if err != nil {
 					t.Fatalf("%s workers %d: %v", label, workers, err)
 				}
@@ -212,10 +194,15 @@ func TestDifferentialIncrementalVsCold(t *testing.T) {
 					t.Fatalf("%s workers %d: clusters diverge from cold mine\ncold: %v\ngot:  %v",
 						label, workers, cold.Clusters, got)
 				}
-				if stats != cold.Stats {
+				if res.Stats != cold.Stats {
 					t.Fatalf("%s workers %d: stats diverge\ncold: %+v\ngot:  %+v",
-						label, workers, cold.Stats, stats)
+						label, workers, cold.Stats, res.Stats)
 				}
+				if !reflect.DeepEqual(res.Subtrees, cold.Subtrees) {
+					t.Fatalf("%s workers %d: per-subtree stats diverge\ncold: %+v\ngot:  %+v",
+						label, workers, cold.Subtrees, res.Subtrees)
+				}
+				info := res.Incremental
 				if info.Incremental {
 					sawIncremental++
 					sawReused += info.SubtreesReused
@@ -236,9 +223,9 @@ func TestDifferentialIncrementalVsCold(t *testing.T) {
 	t.Logf("incremental runs %d (reused %d subtrees), fallbacks %d", sawIncremental, sawReused, sawFallback)
 }
 
-// TestMineIncrementalFallbacks: every ineligible input must take the cold
-// path — reporting a reason — and still produce output identical to a plain
-// parallel mine under the same Params.
+// TestMineIncrementalFallbacks: every ineligible parent must make MineWith
+// mine cold — reporting a reason — and still produce output identical to a
+// plain mine under the same Params.
 func TestMineIncrementalFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rows := 6
@@ -276,8 +263,9 @@ func TestMineIncrementalFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truncatedRes := &Result{Clusters: parentRes.Clusters, Stats: parentRes.Stats}
+	truncatedRes := &Result{Clusters: parentRes.Clusters, Stats: parentRes.Stats, Subtrees: parentRes.Subtrees}
 	truncatedRes.Stats.Truncated = true
+	unrecordedRes := &Result{Clusters: parentRes.Clusters, Stats: parentRes.Stats}
 	capped := p
 	capped.MaxClusters = 2
 	naive := p
@@ -298,6 +286,7 @@ func TestMineIncrementalFallbacks(t *testing.T) {
 		{"naive candidates", child, parent, naive, childModels, parentRes, "naive-candidates ablation"},
 		{"parent truncated", child, parent, p, childModels, truncatedRes, "parent result truncated"},
 		{"values rewritten", rewritten, parent, p, rewrittenModels, parentRes, "parent values rewritten"},
+		{"no per-subtree stats", child, parent, p, childModels, unrecordedRes, "parent result has no per-subtree stats"},
 	}
 	for _, tc := range cases {
 		cold, err := MineWith(context.Background(), tc.m, tc.p, Options{Workers: 1, Models: tc.models})
@@ -305,28 +294,35 @@ func TestMineIncrementalFallbacks(t *testing.T) {
 			t.Fatalf("%s: cold mine: %v", tc.name, err)
 		}
 		var got []*Bicluster
-		stats, info, err := MineIncremental(context.Background(), tc.m, tc.parent, tc.p, 1,
+		res, err := mineOnParent(context.Background(), tc.m, tc.parent, tc.p, 1,
 			func(b *Bicluster) bool { got = append(got, b); return true },
-			nil, tc.models, parentModels, tc.parentRes)
+			tc.models, tc.parentRes)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if info.Incremental || info.Fallback != tc.reason {
+		if info := res.Incremental; info == nil || info.Incremental || info.Fallback != tc.reason {
 			t.Errorf("%s: info %+v, want fallback %q", tc.name, info, tc.reason)
 		}
-		if !sameClustersExact(cold.Clusters, got) || stats != cold.Stats {
+		if !sameClustersExact(cold.Clusters, got) || res.Stats != cold.Stats {
 			t.Errorf("%s: fallback output diverges from cold mine", tc.name)
 		}
 	}
+	res, err := MineWith(context.Background(), child, p, Options{Models: childModels})
+	if err != nil || res.Incremental != nil {
+		t.Fatalf("a run without a parent reports incremental info %+v (err %v)", res.Incremental, err)
+	}
 }
 
-// TestMineIncrementalVisitorStop: a stopping visitor must abandon the stream
-// after the delivered prefix and mark the returned Stats truncated.
+// TestMineIncrementalVisitorStop: a spliced run stopped by its visitor after
+// k clusters delivers the cold prefix of k and returns exactly the Stats of
+// a sequential MineWith stopped at the same cluster, for every k, spliced
+// subtrees and mined ones alike.
 func TestMineIncrementalVisitorStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	p := Params{MinG: 2, MinC: 2, Gamma: 1, AbsoluteGamma: true, Epsilon: 0.5}
-	for trial := 0; trial < 20; trial++ {
-		parent, child := grownMatrix(t, rng, 2+rng.Intn(6), 4, 2)
+	p := Params{MinG: 2, MinC: 2, Gamma: 4, AbsoluteGamma: true, Epsilon: 1}
+	stops, splicedStops := 0, 0
+	for trial := 0; trial < 40; trial++ {
+		parent, child := grownMatrix(t, rng, 4+rng.Intn(6), 5+rng.Intn(3), 1)
 		parentModels, err := BuildModels(parent, p, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -339,33 +335,52 @@ func TestMineIncrementalVisitorStop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := MineWith(context.Background(), child, p, Options{Workers: 2, Models: childModels})
+		cold, err := MineWith(context.Background(), child, p, Options{Workers: 1, Models: childModels})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cold.Clusters) < 2 {
-			continue
+		dirty := dirtyConditions(rwave.Kernels(childModels), parent.Cols(), child.Cols())
+		for k := 1; k <= len(cold.Clusters); k++ {
+			stopAt := func(got *[]*Bicluster) Visitor {
+				return func(b *Bicluster) bool { *got = append(*got, b); return len(*got) < k }
+			}
+			var seqGot []*Bicluster
+			seq, err := MineWith(context.Background(), child, p, Options{Workers: 1, Visit: stopAt(&seqGot), Models: childModels})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				var got []*Bicluster
+				res, err := mineOnParent(context.Background(), child, parent, p, workers, stopAt(&got), childModels, parentRes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Incremental.Incremental {
+					break
+				}
+				if !sameClustersExact(cold.Clusters[:k], got) {
+					t.Fatalf("trial %d stop at %d, workers %d: delivered %d clusters, want the cold prefix", trial, k, workers, len(got))
+				}
+				if res.Stats != seq.Stats || !res.Stats.Truncated || res.Subtrees != nil {
+					t.Fatalf("trial %d stop at %d, workers %d: stats %+v (subtrees %v), want the sequential stop's %+v",
+						trial, k, workers, res.Stats, res.Subtrees, seq.Stats)
+				}
+				stops++
+				if !dirty[cold.Clusters[k-1].Chain[0]] {
+					splicedStops++
+				}
+			}
 		}
-		var got []*Bicluster
-		stats, _, err := MineIncremental(context.Background(), child, parent, p, 2,
-			func(b *Bicluster) bool { got = append(got, b); return len(got) < 1 },
-			nil, childModels, parentModels, parentRes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || !sameClustersExact(cold.Clusters[:1], got) {
-			t.Fatalf("stop after 1: delivered %d clusters, want the cold prefix of 1", len(got))
-		}
-		if !stats.Truncated {
-			t.Fatal("stats not marked truncated after a visitor stop")
-		}
-		return
 	}
-	t.Skip("no trial produced 2+ clusters")
+	if splicedStops == 0 {
+		t.Fatalf("no stop landed in a spliced subtree (%d stops) — the test is vacuous", stops)
+	}
+	t.Logf("%d stops, %d inside spliced subtrees", stops, splicedStops)
 }
 
-// TestMineIncrementalCancelled: a pre-cancelled context must surface as an
-// error from the fast path.
+// TestMineIncrementalCancelled: a pre-cancelled context must fail a spliced
+// run with the context's error, even though its spliced subtrees need no
+// mining.
 func TestMineIncrementalCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := Params{MinG: 2, MinC: 2, Gamma: 1, AbsoluteGamma: true, Epsilon: 0.5}
@@ -384,17 +399,15 @@ func TestMineIncrementalCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = MineIncremental(ctx, child, parent, p, 2,
-		func(*Bicluster) bool { return true },
-		nil, childModels, parentModels, parentRes)
-	if err == nil {
-		t.Fatal("cancelled context produced no error")
+	_, err = mineOnParent(ctx, child, parent, p, 2, func(*Bicluster) bool { return true }, childModels, parentRes)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: err %v, want context.Canceled", err)
 	}
 }
 
-// TestMineIncrementalWorkerPanicContained: a panic on a fast-path worker
-// surfaces as a *PanicError — as on the cold engine — instead of crossing
-// to the caller's goroutine.
+// TestMineIncrementalWorkerPanicContained: a panic on a worker mining a
+// dirty subtree of a spliced run surfaces as a *PanicError instead of
+// crossing to the caller's goroutine.
 func TestMineIncrementalWorkerPanicContained(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	rng := rand.New(rand.NewSource(13))
@@ -412,13 +425,11 @@ func TestMineIncrementalWorkerPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mine := func() (IncrementalInfo, error) {
-		_, info, err := MineIncremental(context.Background(), child, parent, p, 2,
-			func(*Bicluster) bool { return true }, nil, childModels, parentModels, parentRes)
-		return info, err
+	mine := func() (*Result, error) {
+		return mineOnParent(context.Background(), child, parent, p, 2, func(*Bicluster) bool { return true }, childModels, parentRes)
 	}
-	if info, err := mine(); err != nil || !info.Incremental {
-		t.Fatalf("fixture must take the fast path: info %+v, err %v", info, err)
+	if res, err := mine(); err != nil || !res.Incremental.Incremental {
+		t.Fatalf("fixture must take the fast path: res %+v, err %v", res, err)
 	}
 	disarm := faultinject.Arm("core.mine.subtree", faultinject.Spec{Panic: "boom in a dirty subtree", Times: 1})
 	_, err = mine()

@@ -17,6 +17,14 @@ import (
 type Result struct {
 	Clusters []*Bicluster
 	Stats    Stats
+	// Subtrees holds each level-1 subtree's isolated Stats, indexed by
+	// starting condition. Every run that covers all subtrees from condition
+	// 0 without truncation records them; it is nil otherwise. A later run
+	// over an appended matrix reuses them through Options.Parent.
+	Subtrees []Stats
+	// Incremental reports how a run with Options.Parent reused it; nil
+	// when the run had no parent.
+	Incremental *IncrementalInfo
 }
 
 // member is one (gene, direction) entry of the current search node: up means
@@ -45,8 +53,8 @@ type Visitor func(b *Bicluster) bool
 type Options struct {
 	// Workers is the size of the worker pool: <= 0 selects GOMAXPROCS, and
 	// counts above the number of conditions are clamped to it. With 1 and
-	// neither Resume nor Checkpoint set, the sequential miner runs on the
-	// calling goroutine.
+	// no Resume, Checkpoint or splice from Parent, the sequential miner runs
+	// on the calling goroutine.
 	Workers int
 	// Visit, when set, receives the clusters on the calling goroutine, in
 	// Mine's order, instead of Result.Clusters; returning false stops every
@@ -66,6 +74,12 @@ type Options struct {
 	// Models reuses a prebuilt RWave model set from BuildModels on the same
 	// matrix with a ModelKey-equivalent Params; nil builds one for the run.
 	Models []*rwave.Model
+	// Parent, when set, is a settled run over a matrix that this one grew
+	// from by appended conditions. Every subtree the appended conditions
+	// cannot reach is spliced from it unmined; the output is still exactly
+	// a cold mine's. Result.Incremental reports the split, or why the run
+	// mined cold instead.
+	Parent *Parent
 }
 
 // Mine discovers all reg-clusters of m under p (Definition 3.2), returning
@@ -99,14 +113,24 @@ func MineWith(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Resu
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, m.Cols())
-	if workers <= 1 && o.Resume == nil && !o.Checkpoint.enabled() {
+	res := &Result{}
+	var spliced []*SubtreePartial
+	if o.Parent != nil {
+		var info IncrementalInfo
+		spliced, info = planSplice(m, p, kern, o.Parent)
+		res.Incremental = &info
+	}
+	if workers <= 1 && o.Resume == nil && !o.Checkpoint.enabled() && spliced == nil {
 		mn, err := mineSequential(ctx, m, p, kern, o.Visit, o.Observer, sp)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Clusters: mn.out, Stats: mn.stats}, nil
+		res.Clusters, res.Stats = mn.out, mn.stats
+		if !mn.stats.Truncated {
+			res.Subtrees = mn.subtrees
+		}
+		return res, nil
 	}
-	res := &Result{}
 	visit := o.Visit
 	if visit == nil {
 		visit = func(b *Bicluster) bool {
@@ -114,7 +138,15 @@ func MineWith(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Resu
 			return true
 		}
 	}
-	if res.Stats, err = mineParallel(ctx, m, p, kern, max(workers, 1), visit, o, sp); err != nil {
+	if spliced != nil {
+		sp = sp.Start("incremental.mine")
+		if sp != nil {
+			sp.SetInt("subtrees_mined", int64(res.Incremental.SubtreesMined))
+			sp.SetInt("subtrees_reused", int64(res.Incremental.SubtreesReused))
+			defer sp.End()
+		}
+	}
+	if res.Stats, res.Subtrees, err = mineParallel(ctx, m, p, kern, max(workers, 1), visit, o, sp, spliced); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -238,6 +270,9 @@ type miner struct {
 	stats Stats
 	stop  bool // set when a cap fires, the sink stops, or the budget cancels
 
+	// subtrees records each level-1 subtree's isolated Stats as run() goes.
+	subtrees []Stats
+
 	sc scratch // reusable hot-path working storage (see scratch.go)
 }
 
@@ -250,20 +285,26 @@ func newMiner(m *matrix.Matrix, p Params, kern []rwave.Kernel, bud *budget) *min
 	return &miner{m: m, p: p, kern: kern, tab: rwave.TablesOf(kern), bud: bud, dedup: newDedupSet()}
 }
 
+// run mines every level-1 subtree in starting-condition order. Each subtree
+// counts into fresh Stats, recorded on subtrees and then folded into the
+// run's total: a subtree's Stats do not depend on the ones mined before it.
 func (mn *miner) run() {
+	var total Stats
+	mn.subtrees = make([]Stats, 0, mn.m.Cols())
 	for c := 0; c < mn.m.Cols() && !mn.stop; c++ {
-		if mn.span == nil {
-			mn.runFrom(c)
-			continue
-		}
 		sp := mn.span.Start("subtree")
-		n0, k0 := mn.stats.Nodes, mn.stats.Clusters
+		mn.stats = Stats{}
 		mn.runFrom(c)
-		sp.SetInt("cond", int64(c))
-		sp.Add("nodes", int64(mn.stats.Nodes-n0))
-		sp.Add("clusters", int64(mn.stats.Clusters-k0))
-		sp.End()
+		total.Add(mn.stats)
+		mn.subtrees = append(mn.subtrees, mn.stats)
+		if sp != nil {
+			sp.SetInt("cond", int64(c))
+			sp.Add("nodes", int64(mn.stats.Nodes))
+			sp.Add("clusters", int64(mn.stats.Clusters))
+			sp.End()
+		}
 	}
+	mn.stats = total
 }
 
 // pushChain appends c to the chain stack and marks it in the membership

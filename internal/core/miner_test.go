@@ -418,3 +418,52 @@ func randomMatrix(rows, cols int, seed int64) *matrix.Matrix {
 	}
 	return m
 }
+
+// TestChainLengthPruningDropsValidCluster pins what pruning (2) does to the
+// output on the smallest known case: it is not output-preserving. At the
+// level-2 node (c1, c3, c2) the n-members g0 and g1 cannot step on to c0,
+// so the paper configuration drops them before the windows are cut and
+// emits only {g2, g4, g5} on chain c1→c3→c2→c0. Without pruning (2), g1
+// shapes a second ε-window {g2, g5, g1}, which becomes the cluster {g2, g5}
+// once g1 fails at c0. That cluster satisfies Definition 3.2, yet the paper
+// configuration — the reference semantics — does not emit it.
+func TestChainLengthPruningDropsValidCluster(t *testing.T) {
+	m := matrix.New(6, 4)
+	for g, row := range [][]float64{
+		{2, 6, 2, 3},
+		{2, 6, 1, 4},
+		{8, 2, 6, 4},
+		{0, 9, 6, 3},
+		{6, 1, 5, 4},
+		{9, 0, 6, 3},
+	} {
+		copy(m.Row(g), row)
+	}
+	paper := Params{MinG: 2, MinC: 4, Gamma: 0.1, Epsilon: 1}
+	unpruned := paper
+	unpruned.DisableChainLengthPruning = true
+	chain := []int{1, 3, 2, 0}
+	onChain := func(p Params) [][]int {
+		res, err := Mine(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]int
+		for _, b := range res.Clusters {
+			if reflect.DeepEqual(b.Chain, chain) && len(b.NMembers) == 0 {
+				out = append(out, b.PMembers)
+			}
+		}
+		return out
+	}
+	if got, want := onChain(paper), [][]int{{2, 4, 5}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("paper configuration on c1→c3→c2→c0: p-members %v, want %v", got, want)
+	}
+	if got, want := onChain(unpruned), [][]int{{2, 4, 5}, {2, 5}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("unpruned run on c1→c3→c2→c0: p-members %v, want %v", got, want)
+	}
+	lost := &Bicluster{Chain: chain, PMembers: []int{2, 5}}
+	if err := CheckBicluster(m, paper, lost); err != nil {
+		t.Fatalf("the cluster pruning (2) drops must satisfy Definition 3.2: %v", err)
+	}
+}

@@ -73,12 +73,22 @@ func TestMinersEquivalentUntruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameRun(t, "sequential stream", seq, streamed, fStats)
+		var sum Stats
+		for _, st := range seq.Subtrees {
+			sum.Add(st)
+		}
+		if len(seq.Subtrees) != m.Cols() || sum != seq.Stats {
+			t.Fatalf("per-subtree stats %+v do not sum to the run's %+v", seq.Subtrees, seq.Stats)
+		}
 		for _, workers := range equivalenceWorkers {
 			par, err := MineWith(context.Background(), m, p, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameRun(t, "parallel collect", seq, par.Clusters, par.Stats)
+			if !reflect.DeepEqual(par.Subtrees, seq.Subtrees) {
+				t.Fatalf("workers %d: per-subtree stats %+v, sequential %+v", workers, par.Subtrees, seq.Subtrees)
+			}
 			got, stats := collectParallelFunc(t, m, p, workers)
 			assertSameRun(t, "parallel stream", seq, got, stats)
 		}
@@ -105,12 +115,18 @@ func TestParallelTruncationMaxClusters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if (seq.Subtrees == nil) != seq.Stats.Truncated {
+			t.Fatalf("cap %d: truncated %v but per-subtree stats %v", cap, seq.Stats.Truncated, seq.Subtrees)
+		}
 		for _, workers := range equivalenceWorkers {
 			par, err := MineWith(context.Background(), m, p, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameRun(t, "parallel collect", seq, par.Clusters, par.Stats)
+			if !reflect.DeepEqual(par.Subtrees, seq.Subtrees) {
+				t.Fatalf("cap %d workers %d: per-subtree stats %v, sequential %v", cap, workers, par.Subtrees, seq.Subtrees)
+			}
 			got, stats := collectParallelFunc(t, m, p, workers)
 			assertSameRun(t, "parallel stream", seq, got, stats)
 		}

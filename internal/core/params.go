@@ -42,12 +42,18 @@ type Params struct {
 	// Like MaxClusters, the cap is global across parallel workers.
 	MaxNodes int
 
-	// Ablation switches (all default false = paper behaviour). Disabling any
-	// of these must not change the mined cluster set, only the work done;
-	// experiment E8 verifies and measures exactly that.
+	// Ablation switches (all default false = paper behaviour, the reference
+	// semantics). Disabling (3a), (3b) or the RWave candidate scan changes
+	// only the work done; experiment E8 measures that. Pruning (2) is the
+	// exception, see DisableChainLengthPruning.
 
 	// DisableChainLengthPruning turns off pruning (2): genes whose maximal
 	// remaining chain length cannot reach MinC are no longer dropped early.
+	// This can change the output, not just the work: the sliding windows
+	// are cut level by level, so a gene that pruning (2) drops early no
+	// longer shapes the windows below it, and the paper configuration can
+	// miss valid clusters that the unpruned run emits
+	// (TestChainLengthPruningDropsValidCluster).
 	DisableChainLengthPruning bool
 	// DisableMajorityPruning turns off pruning (3a): subtrees where the
 	// p-members cannot outnumber the n-members are no longer cut.

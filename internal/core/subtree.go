@@ -121,10 +121,12 @@ type SubtreeMerger struct {
 	skip    int                     // resume watermark of subtree `resume`
 	pending map[int]*SubtreePartial // offered out of order, waiting for their turn
 
-	// Exact sequential accounting of the settled prefix.
+	// Exact sequential accounting of the settled prefix, and the isolated
+	// Stats of each subtree folded into it, in condition order.
 	agg         Stats
 	cumNodes    int
 	cumClusters int
+	subtrees    []Stats
 
 	// Checkpoint emission state: ckFresh counts deliveries since the last
 	// snapshot; lastChain is the chain of the most recent delivery.
@@ -153,8 +155,7 @@ func newMerger(ctx context.Context, m *matrix.Matrix, p Params, kern []rwave.Ker
 	if visit == nil {
 		return nil, fmt.Errorf("core: SubtreeMerger requires a visitor")
 	}
-	g := &SubtreeMerger{ctx: ctx, m: m, p: p, kern: kern, visit: visit, ck: ck,
-		pending: make(map[int]*SubtreePartial)}
+	g := &SubtreeMerger{ctx: ctx, m: m, p: p, kern: kern, visit: visit, ck: ck}
 	if resume != nil {
 		if err := resume.Validate(m.Cols()); err != nil {
 			return nil, err
@@ -170,6 +171,7 @@ func newMerger(ctx context.Context, m *matrix.Matrix, p Params, kern []rwave.Ker
 	if g.next >= m.Cols() {
 		g.done = true
 	}
+	g.subtrees = make([]Stats, 0, m.Cols()-g.next)
 	return g, nil
 }
 
@@ -188,6 +190,15 @@ func (g *SubtreeMerger) Done() bool { return g.done }
 
 // Result returns the run's total Stats and error. Valid only once Done.
 func (g *SubtreeMerger) Result() (Stats, error) { return g.agg, g.err }
+
+// result is Result plus the isolated Stats of every subtree, which only a
+// run that folded each subtree from condition 0 without truncation has.
+func (g *SubtreeMerger) result() (Stats, []Stats, error) {
+	if len(g.subtrees) < g.m.Cols() {
+		return g.agg, nil, g.err
+	}
+	return g.agg, g.subtrees, g.err
+}
 
 // Offer folds one complete subtree partial. Partials may arrive in any
 // order; out-of-order ones are parked until every earlier subtree has been
@@ -209,6 +220,9 @@ func (g *SubtreeMerger) Offer(part *SubtreePartial) (bool, error) {
 	}
 	if part.Stats.Truncated {
 		return g.done, fmt.Errorf("core: subtree partial for condition %d is incomplete (abandoned mid-mine)", c)
+	}
+	if g.pending == nil {
+		g.pending = make(map[int]*SubtreePartial)
 	}
 	g.pending[c] = part
 	for !g.done {
@@ -299,6 +313,7 @@ func (g *SubtreeMerger) finishHead(st Stats, complete bool) {
 		g.done = true
 		return
 	}
+	g.subtrees = append(g.subtrees, st)
 	g.next, g.taken = c+1, 0
 	if g.next >= g.m.Cols() {
 		g.done = true

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -60,13 +61,11 @@ func TestDistributedMineByteIdenticalAcrossWorkers(t *testing.T) {
 	c.Routes(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	wctx, wcancel := context.WithCancel(context.Background())
-	defer wcancel()
 	workers := make([]*Worker, 2)
 	for i := range workers {
 		workers[i] = NewWorker(WorkerConfig{Coordinator: srv.URL, Name: fmt.Sprintf("test-worker-%d", i)})
-		go workers[i].Run(wctx) //nolint:errcheck // cancelled at test end
 	}
+	defer runWorkers(workers...)()
 
 	// Both workers must be polling before the run queues its units, and the
 	// leases must outlast the 25 ms long-poll tick, or one worker can drain
@@ -143,15 +142,13 @@ func TestDistributedMineSurvivesWorkerDeathMidLease(t *testing.T) {
 	c.Routes(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	wctx, wcancel := context.WithCancel(context.Background())
-	defer wcancel()
 	var abandoned func() int64
 	{
 		ws := make([]*Worker, 2)
 		for i := range ws {
 			ws[i] = NewWorker(WorkerConfig{Coordinator: srv.URL, Name: fmt.Sprintf("doomed-%d", i)})
-			go ws[i].Run(wctx) //nolint:errcheck
 		}
+		defer runWorkers(ws...)()
 		abandoned = func() int64 { return ws[0].Abandoned.Load() + ws[1].Abandoned.Load() }
 	}
 
@@ -326,10 +323,8 @@ func TestWorkerRejectsCorruptReplica(t *testing.T) {
 	c.Routes(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	wctx, wcancel := context.WithCancel(context.Background())
-	defer wcancel()
 	w := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "gullible", Logf: t.Logf})
-	go w.Run(wctx) //nolint:errcheck
+	defer runWorkers(w)()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -413,4 +408,21 @@ func TestDistributedResumeFromCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(ref.Stats, stats) {
 		t.Errorf("resumed stats: want %+v, got %+v", ref.Stats, stats)
 	}
+}
+
+// runWorkers starts each worker's Run loop and returns the function that
+// stops them: it cancels the loops and waits until every Run has returned,
+// so no worker logs through a finished test. Tests defer it after the
+// coordinator's server, so the workers stop first.
+func runWorkers(ws ...*Worker) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for _, w := range ws {
+		wg.Add(1)
+		go func(w *Worker) {
+			defer wg.Done()
+			w.Run(ctx) //nolint:errcheck // cancelled by stop
+		}(w)
+	}
+	return func() { cancel(); wg.Wait() }
 }

@@ -66,10 +66,13 @@ func cacheKey(datasetID string, p core.Params) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cachedResult is one settled mining outcome.
+// cachedResult is one settled mining outcome. subtrees, the run's
+// per-subtree Stats, live only in memory: a result restored from disk has
+// none, so a child dataset's job cannot splice from it and mines cold.
 type cachedResult struct {
 	clusters []report.NamedCluster
 	stats    core.Stats
+	subtrees []core.Stats
 }
 
 // resultCache is a strict-LRU map from cacheKey to settled results, bounded

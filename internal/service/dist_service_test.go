@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,11 +30,13 @@ func distWorkload(t *testing.T) (*matrix.Matrix, core.Params) {
 }
 
 // startDistWorkers connects n in-process dist workers to a coordinator-mode
-// server and tears them down with the test.
+// server and tears them down with the test: the cleanup cancels them and
+// waits until every Run has returned, so none logs after the test ends.
 func startDistWorkers(t *testing.T, ts *httptest.Server, n int) []*dist.Worker {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
+	var wg sync.WaitGroup
+	t.Cleanup(func() { cancel(); wg.Wait() })
 	workers := make([]*dist.Worker, n)
 	for i := range workers {
 		workers[i] = dist.NewWorker(dist.WorkerConfig{
@@ -44,7 +44,11 @@ func startDistWorkers(t *testing.T, ts *httptest.Server, n int) []*dist.Worker {
 			Name:        fmt.Sprintf("svc-worker-%d", i),
 			Logf:        t.Logf,
 		})
-		go workers[i].Run(ctx) //nolint:errcheck // cancelled at test end
+		wg.Add(1)
+		go func(w *dist.Worker) {
+			defer wg.Done()
+			w.Run(ctx) //nolint:errcheck // cancelled at test end
+		}(workers[i])
 	}
 	return workers
 }
@@ -98,9 +102,9 @@ func TestCoordinatorModeByteIdenticalAcrossWorkers(t *testing.T) {
 // exactly what SIGKILL does to a worker process). The coordinator must revoke
 // the lease after the TTL, re-issue the subtree from the received watermark,
 // and still finish with the byte-identical result. With a durable data-dir,
-// the reassignment leaves recWorker/recLease audit records in the journal;
-// a restart replays past them cleanly and compaction drops them (the
-// forward-compatibility satellite, end to end).
+// the journal holds no audit record of the workers or leases (the log, the
+// lease spans and the regserver_leases_* counters carry them), and a restart
+// in single mode brings the settled job back intact.
 func TestCoordinatorModeSurvivesWorkerKill(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	dir := t.TempDir()
@@ -137,27 +141,17 @@ func TestCoordinatorModeSurvivesWorkerKill(t *testing.T) {
 		t.Fatal("result after worker kill diverges from single-node run")
 	}
 
-	// The journal holds the audit trail of the run.
-	raw, err := os.ReadFile(filepath.Join(dir, journalFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wal := string(raw)
-	for _, want := range []string{
-		`"type":"worker"`,
-		`"type":"lease"`,
-		`"lease_event":"lease_reassigned"`,
-	} {
-		if !strings.Contains(wal, want) {
-			t.Errorf("journal missing %s", want)
+	// Workers and leases leave no journal record.
+	for _, rec := range journalRecords(t, dir) {
+		if rec.Type == recWorker || rec.Type == recLease {
+			t.Errorf("journal holds audit record %+v", rec)
 		}
 	}
 	tsA.Close()
 	srvA.Close()
 
-	// Restart on the same data-dir in plain single mode: the audit records
-	// replay as no-ops, the settled job comes back intact, and compaction
-	// drops them from the rewritten journal.
+	// Restart on the same data-dir in plain single mode: the settled job
+	// comes back intact.
 	_, tsB := openTestServer(t, Config{DataDir: dir, Logf: t.Logf})
 	jv := getJob(t, tsB, v.ID)
 	if jv.Status != StatusDone || jv.Clusters != len(wantNamed) {
@@ -165,31 +159,27 @@ func TestCoordinatorModeSurvivesWorkerKill(t *testing.T) {
 	}
 	streamed2, _ := streamClusters(t, tsB, v.ID)
 	if !reflect.DeepEqual(streamed2, wantNamed) {
-		t.Fatal("recovered result diverges after replaying audit records")
-	}
-	raw, err = os.ReadFile(filepath.Join(dir, journalFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := string(raw); strings.Contains(s, `"type":"worker"`) || strings.Contains(s, `"type":"lease"`) {
-		t.Error("compaction kept transient audit records")
+		t.Fatal("recovered result diverges from the single-node run")
 	}
 }
 
-// TestReplayAuditRecordsSkipped pins the forward-compatibility contract of
-// the audit records at the replay layer: recWorker/recLease lines interleaved
-// with job records change nothing about the replayed job state, raise no
-// "unknown record type" warning here, and a replayer predating them (its
-// journalRecord lacks the fields, its switch lacks the cases) still decodes
-// every line and skips them through its default branch.
+// TestReplayAuditRecordsSkipped pins the backward-compatibility contract of
+// the audit records older servers wrote: recWorker/recLease lines, fed in
+// as raw JSON, interleaved with job records change nothing about the
+// replayed job state, raise no "unknown record type" warning, and compact
+// away; a replayer predating them (its switch lacks the cases) still
+// decodes every line and skips them through its default branch.
 func TestReplayAuditRecordsSkipped(t *testing.T) {
-	cond := 3
-	audit := []journalRecord{
-		{Type: recWorker, Worker: "w-000001", Addr: "worker-a"},
-		{Type: recLease, Job: "job-000001", Worker: "w-000001", Lease: "lease-000001",
-			LeaseEvent: "lease_issued", Cond: &cond},
-		{Type: recLease, Job: "job-000001", Worker: "w-000001", Lease: "lease-000001",
-			LeaseEvent: "lease_reassigned", Cond: &cond, Skip: 5, Reason: "heartbeat ttl expired"},
+	auditLines := []string{
+		`{"type":"worker","time":"2026-01-02T03:04:05Z","worker":"w-000001","addr":"worker-a"}`,
+		`{"type":"lease","time":"2026-01-02T03:04:05Z","job":"job-000001","worker":"w-000001","lease":"lease-000001","lease_event":"lease_issued","cond":3}`,
+		`{"type":"lease","time":"2026-01-02T03:04:06Z","job":"job-000001","worker":"w-000001","lease":"lease-000001","lease_event":"lease_reassigned","cond":3,"skip":5,"reason":"heartbeat ttl expired"}`,
+	}
+	audit := make([]journalRecord, len(auditLines))
+	for i, line := range auditLines {
+		if err := json.Unmarshal([]byte(line), &audit[i]); err != nil {
+			t.Fatalf("audit line %s: %v", line, err)
+		}
 	}
 	p := runningParams()
 	jobRecs := []journalRecord{
@@ -223,13 +213,9 @@ func TestReplayAuditRecordsSkipped(t *testing.T) {
 		Type string `json:"type"`
 		Job  string `json:"job,omitempty"`
 	}
-	for _, rec := range audit {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, line := range auditLines {
 		var old oldRecord
-		if err := json.Unmarshal(line, &old); err != nil {
+		if err := json.Unmarshal([]byte(line), &old); err != nil {
 			t.Fatalf("predating replayer cannot decode %s: %v", line, err)
 		}
 		switch old.Type {

@@ -13,7 +13,6 @@ import (
 	"regcluster/internal/core"
 	"regcluster/internal/dist"
 	"regcluster/internal/faultinject"
-	"regcluster/internal/matrix"
 	"regcluster/internal/obs"
 	"regcluster/internal/report"
 )
@@ -103,8 +102,11 @@ type Job struct {
 	attempts  int
 
 	// incr reports how the incremental re-mine path handled this job (nil
-	// when the job had no delta lineage to exploit).
-	incr *core.IncrementalInfo
+	// when the job had no delta lineage to exploit); subtrees are the
+	// per-subtree Stats of its settled run, kept with its cached result so
+	// a child dataset's job can splice from it.
+	incr     *core.IncrementalInfo
+	subtrees []core.Stats
 
 	// Phase durations, settled as each phase ends (for the slow-job log).
 	queuedFor time.Duration
@@ -704,31 +706,6 @@ func (m *jobManager) mine(ctx context.Context, j *Job) (core.Stats, error) {
 		m.metrics.ClustersStreamed.Add(1)
 		return true
 	}
-	if m.coord == nil && resume == nil && models != nil {
-		if plan := m.incrementalPlan(j); plan != nil {
-			// Subtree-reuse attempt. The incremental engine takes no
-			// checkpoint cadence: a crash mid-run restarts the attempt from
-			// scratch, which is cheap by construction (only dirty subtrees
-			// mine). Output — cluster stream and Stats — is byte-identical
-			// to the cold path, so the cache and journal are oblivious.
-			stats, info, err := core.MineIncremental(ctx, mat, plan.parentMat, j.Params, j.Workers,
-				visit, &j.obs, models, plan.parentModels, plan.parentResult)
-			if err == nil {
-				if info.Incremental {
-					m.metrics.IncrementalMines.Add(1)
-					m.metrics.IncrementalSubtreesReused.Add(int64(info.SubtreesReused))
-					m.metrics.IncrementalSubtreesMined.Add(int64(info.SubtreesMined))
-				} else {
-					m.metrics.IncrementalFallbacks.Add(1)
-				}
-				inf := info
-				j.mu.Lock()
-				j.incr = &inf
-				j.mu.Unlock()
-			}
-			return stats, err
-		}
-	}
 	if m.coord != nil {
 		// Coordinator mode: the same visitor, resume point, and checkpoint
 		// cadence feed the distributed merger, so the journal/recovery path
@@ -745,39 +722,46 @@ func (m *jobManager) mine(ctx context.Context, j *Job) (core.Stats, error) {
 			LocalWorkers: m.distLocalWorkers,
 		}, visit)
 	}
-	res, err := core.MineWith(ctx, mat, j.Params, core.Options{Workers: j.Workers, Visit: visit,
-		Observer: &j.obs, Resume: resume, Checkpoint: ck, Models: models})
+	opts := core.Options{Workers: j.Workers, Visit: visit, Observer: &j.obs, Resume: resume, Checkpoint: ck, Models: models}
+	if resume == nil {
+		if opts.Parent = m.incrementalPlan(j); opts.Parent != nil {
+			// No checkpoints: one per subtree boundary raised append-remine op_p50_ms from ~4 to ~8 ms.
+			opts.Checkpoint = core.CheckpointConfig{}
+		}
+	}
+	res, err := core.MineWith(ctx, mat, j.Params, opts)
 	if err != nil {
 		return core.Stats{}, err
 	}
+	if info := res.Incremental; info != nil {
+		if info.Incremental {
+			m.metrics.IncrementalMines.Add(1)
+			m.metrics.IncrementalSubtreesReused.Add(int64(info.SubtreesReused))
+			m.metrics.IncrementalSubtreesMined.Add(int64(info.SubtreesMined))
+		} else {
+			m.metrics.IncrementalFallbacks.Add(1)
+		}
+	}
+	j.mu.Lock()
+	j.incr, j.subtrees = res.Incremental, res.Subtrees
+	j.mu.Unlock()
 	return res.Stats, nil
 }
 
-// incrPlan holds everything a delta-lineage job needs to take the
-// subtree-reuse path: the parent's live matrix, its cached RWave model set,
-// and its settled result resolved back to index form.
-type incrPlan struct {
-	parentMat    *matrix.Matrix
-	parentModels []*core.RWaveModel
-	parentResult *core.Result
-}
-
-// incrementalPlan assembles the subtree-reuse inputs for a delta-lineage job.
-// Any missing piece — no lineage, a gene-axis delta, an unregistered parent,
-// an evicted parent model set or result, or names that no longer resolve —
+// incrementalPlan assembles the subtree-reuse input for a delta-lineage job:
+// the parent's live matrix and its settled result, resolved back to index
+// form. Any missing piece — no lineage, a gene-axis delta, an unregistered
+// parent, an evicted parent result, or names that no longer resolve —
 // returns nil and the job mines cold without touching the incremental
 // metrics: the fallback counter is reserved for runs where reuse was
-// plausible but the engine itself declined.
-func (m *jobManager) incrementalPlan(j *Job) *incrPlan {
+// plausible but the engine itself declined (a parent result restored from
+// disk, for one, has no per-subtree Stats).
+func (m *jobManager) incrementalPlan(j *Job) *core.Parent {
 	d := j.Dataset.Delta
-	if d == nil || d.Axis != DeltaAxisConditions || m.datasets == nil || m.models == nil || m.cache == nil {
+	if d == nil || d.Axis != DeltaAxisConditions || m.datasets == nil || m.cache == nil {
 		return nil
 	}
 	parent, ok := m.datasets(d.Parent)
-	if !ok {
-		return nil
-	}
-	pm, ok := m.models.peek(core.ModelKey(d.Parent, j.Params))
 	if !ok {
 		return nil
 	}
@@ -794,11 +778,7 @@ func (m *jobManager) incrementalPlan(j *Job) *incrPlan {
 	if err != nil {
 		return nil
 	}
-	return &incrPlan{
-		parentMat:    parent.Matrix(),
-		parentModels: pm,
-		parentResult: &core.Result{Clusters: bs, Stats: res.stats},
-	}
+	return &core.Parent{Matrix: parent.Matrix(), Result: &core.Result{Clusters: bs, Stats: res.stats, Subtrees: res.subtrees}}
 }
 
 // noteCheckpoint records a miner snapshot: it becomes the job's resume point
@@ -899,9 +879,10 @@ func (m *jobManager) settle(j *Job, key string, stats core.Stats, err error) {
 	ckpt := j.lastCkpt
 	queuedFor, ranFor := j.queuedFor, j.ranFor
 	attempts := j.attempts
+	subtrees := j.subtrees
 	j.mu.Unlock()
 
-	res := cachedResult{clusters: clusters, stats: stats}
+	res := cachedResult{clusters: clusters, stats: stats, subtrees: subtrees}
 	switch status {
 	case StatusDone:
 		m.metrics.JobsFinished.Add(1)

@@ -31,12 +31,10 @@ const (
 	// a journal holding the record restores the sweep view intact. Older
 	// servers skip it as an unknown type.
 	recSweep = "sweep"
-	// recWorker / recLease are coordinator-mode audit records: worker joins
-	// and lease lifecycle transitions (issued / reassigned / completed).
-	// They are transient by design — replay skips them (leases do not
-	// survive the coordinator process; an interrupted distributed job
-	// resumes from its ordinary checkpoint records), so compaction drops
-	// them, and servers predating them skip them as unknown types.
+	// recWorker / recLease are the coordinator-mode audit records (worker
+	// joins, lease transitions) that older servers appended. Nothing writes
+	// them any more; replay still skips them, so old journals boot, and
+	// compaction drops them.
 	recWorker = "worker"
 	recLease  = "lease"
 	// recShed is the terminal record of a queued job the overload shedder
@@ -93,15 +91,6 @@ type journalRecord struct {
 	// delta: lineage of an appended dataset (recDelta); Dataset above carries
 	// the child's content hash.
 	Delta *DeltaInfo `json:"delta,omitempty"`
-
-	// coordinator-mode audit records (recWorker / recLease)
-	Worker     string `json:"worker,omitempty"`
-	Addr       string `json:"addr,omitempty"`        // advertised worker name
-	Lease      string `json:"lease,omitempty"`       // lease id
-	LeaseEvent string `json:"lease_event,omitempty"` // issued / reassigned / completed
-	Cond       *int   `json:"cond,omitempty"`        // subtree condition of the lease
-	Skip       int    `json:"skip,omitempty"`        // received watermark at the event
-	Reason     string `json:"reason,omitempty"`      // reassignment cause
 }
 
 // journal is the append side of the WAL. Appends are serialized and fsynced

@@ -122,11 +122,11 @@ func replayRecords(recs []journalRecord, logf func(string, ...any)) (ordered []*
 			}
 			usage[rec.Tenant] = *rec.Usage
 		case recWorker, recLease:
-			// Coordinator-mode audit trail: leases and worker registrations
-			// do not survive the coordinator process (an interrupted
-			// distributed job resumes from its ordinary checkpoint records),
-			// so these records carry no replayable state and compaction
-			// drops them.
+			// The coordinator-mode audit trail older servers wrote: leases
+			// and worker registrations do not survive the coordinator
+			// process (an interrupted distributed job resumes from its
+			// ordinary checkpoint records), so these records carry no
+			// replayable state and compaction drops them.
 		default:
 			logf("service: journal: unknown record type %q; skipping (newer server?)", rec.Type)
 		}

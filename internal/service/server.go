@@ -417,24 +417,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.jobs.drain(ctx)
 }
 
-// distEvent bridges coordinator lifecycle events into the journal (as
-// recWorker/recLease audit records — dropped on replay and by compaction)
-// and the structured log. Reassignments warn: they mean a worker died or
-// fell behind its heartbeat TTL.
+// distEvent bridges coordinator lifecycle events into the structured log.
+// Reassignments warn: they mean a worker died or fell behind its heartbeat
+// TTL. Nothing is journaled: leases do not survive the coordinator process,
+// and the lease spans and regserver_leases_* counters already record them.
 func (s *Server) distEvent(ev dist.Event) {
 	switch ev.Kind {
 	case dist.EventWorkerJoined:
 		s.obsLog.Info("worker joined", "worker", ev.Worker, "addr", ev.Addr)
-		s.jobs.journalAppend(journalRecord{Type: recWorker, Worker: ev.Worker, Addr: ev.Addr})
-	default:
-		cond := ev.Cond
-		s.jobs.journalAppend(journalRecord{Type: recLease, Job: ev.Job, Worker: ev.Worker,
-			Lease: ev.Lease, LeaseEvent: string(ev.Kind), Cond: &cond, Skip: ev.Skip, Reason: ev.Reason})
-		if ev.Kind == dist.EventLeaseReassigned {
-			s.obsLog.Warn("lease reassigned",
-				"job", ev.Job, "lease", ev.Lease, "worker", ev.Worker,
-				"cond", int64(ev.Cond), "skip", int64(ev.Skip), "reason", ev.Reason)
-		}
+	case dist.EventLeaseReassigned:
+		s.obsLog.Warn("lease reassigned",
+			"job", ev.Job, "lease", ev.Lease, "worker", ev.Worker,
+			"cond", int64(ev.Cond), "skip", int64(ev.Skip), "reason", ev.Reason)
 	}
 }
 

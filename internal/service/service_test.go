@@ -25,9 +25,12 @@ func runningParams() core.Params {
 	return core.Params{MinG: 3, MinC: 5, Gamma: 0.15, Epsilon: 0.1}
 }
 
+// newTestServer starts an in-memory server behind an httptest listener;
+// both close with the test, the listener first.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
+	t.Cleanup(func() { s.Close() })
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -151,23 +151,18 @@ func RepairModels(child *Matrix, p Params, parentModels []*RWaveModel, o *Observ
 	return core.RepairModels(child, p, parentModels, o)
 }
 
-// IncrementalInfo reports how MineIncremental handled a run: the subtrees
-// spliced from the parent result versus re-mined, or the reason it fell back
-// to a cold mine.
-type IncrementalInfo = core.IncrementalInfo
+// MineParent is a settled run MineWith may reuse through
+// MineOptions.Parent: the matrix it mined and its Result under the same
+// Params. On a matrix grown from it by AppendConditions, MineWith mines only
+// the subtrees the appended conditions can reach and splices the rest from
+// the parent's Result; the output is byte-identical to a cold mine for any
+// worker count.
+type MineParent = core.Parent
 
-// MineIncremental re-mines a matrix grown by AppendConditions, reusing the
-// parent's result wherever the appended conditions cannot have changed it:
-// only subtrees rooted at dirty conditions (those within regulation reach of
-// an appended condition, plus the appended ones) are re-mined; the rest
-// splice from parentResult. The cluster stream delivered to visit and the
-// returned Stats are byte-identical to a cold mine of child for any worker
-// count. When reuse is unsound (see IncrementalInfo.Fallback) the call
-// transparently runs the cold path instead.
-func MineIncremental(ctx context.Context, child, parent *Matrix, p Params, workers int,
-	visit Visitor, o *Observer, childModels, parentModels []*RWaveModel, parentResult *Result) (Stats, IncrementalInfo, error) {
-	return core.MineIncremental(ctx, child, parent, p, workers, visit, o, childModels, parentModels, parentResult)
-}
+// IncrementalInfo is Result.Incremental of a run with MineOptions.Parent:
+// the subtrees spliced from the parent result versus mined, or the reason
+// the run mined cold instead.
+type IncrementalInfo = core.IncrementalInfo
 
 // ThresholdsRangeFraction, ThresholdsMeanFraction and ThresholdsNearestPair
 // compute alternative per-gene regulation thresholds (Section 3.1) for
