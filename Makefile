@@ -90,10 +90,11 @@ bench-compare:
 		-new /tmp/bench_current.json \
 		-max-ns-regress 15 -max-allocs-regress 5
 
-# Fast CI gate: one iteration of the running example and the RWave index
-# build proves the bench harness still compiles and runs.
+# Fast CI gate: one iteration of the running example and of the index build
+# every mining run pays (core.BuildModels) proves the bench harness still
+# compiles and runs.
 bench-smoke:
-	$(GO) test -run XXX -bench 'BenchmarkRunningExample$$|BenchmarkRWaveBuild$$' -benchtime 1x -benchmem .
+	$(GO) test -run XXX -bench 'BenchmarkRunningExample$$|BenchmarkBuildModels$$' -benchtime 1x -benchmem .
 
 # Kernel microbenchmarks (internal/core kernel_bench_test.go): the isolated
 # inner-loop primitives of the columnar hot path — frontier lookups,

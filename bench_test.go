@@ -26,7 +26,6 @@ import (
 	"regcluster/internal/opsm"
 	"regcluster/internal/paperdata"
 	"regcluster/internal/pcluster"
-	"regcluster/internal/rwave"
 	"regcluster/internal/scaling"
 	"regcluster/internal/synthetic"
 )
@@ -162,35 +161,25 @@ func BenchmarkPruningAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkRWaveBuild measures the index construction cost in isolation
-// (the preprocessing phase of Figure 5).
-func BenchmarkRWaveBuild(b *testing.B) {
-	m := genMatrix(b, 3000, 30, 30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		models := rwave.BuildAll(m, 0.1)
-		if len(models) != 3000 {
-			b.Fatal("bad build")
-		}
-	}
-}
-
 // BenchmarkBuildModels measures the index every mining run pays for before
-// its search: core.BuildModels on a 600×30 Figure 7 matrix (a cold-mine
-// upload) at the Figure 7 defaults — the per-gene RWave builds, the slab pack
-// and the condition-pair tables, which BenchmarkRWaveBuild's rwave.BuildAll
-// leaves out.
+// its search, the preprocessing phase of Figure 5: core.BuildModels — the
+// per-gene RWave builds and the condition-pair tables — on Figure 7
+// matrices at the Figure 7 defaults, at the cold-mine upload shape (600×30)
+// and at Figure 7's largest gene count (5000×30).
 func BenchmarkBuildModels(b *testing.B) {
-	m := genMatrix(b, 600, 30, 30)
-	p := experiments.MiningDefaults(600)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		models, err := core.BuildModels(m, p, nil)
-		if err != nil || len(models) != 600 {
-			b.Fatalf("build: %d models, %v", len(models), err)
-		}
+	for _, genes := range []int{600, 5000} {
+		b.Run(fmt.Sprintf("g=%d", genes), func(b *testing.B) {
+			m := genMatrix(b, genes, 30, 30)
+			p := experiments.MiningDefaults(genes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				set, err := core.BuildModels(m, p, nil)
+				if err != nil || set.Genes() != genes {
+					b.Fatalf("build: %v", err)
+				}
+			}
+		})
 	}
 }
 

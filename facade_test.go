@@ -51,8 +51,8 @@ func TestPublicAPIParallelAndThresholds(t *testing.T) {
 }
 
 // TestPublicAPISharedModels covers the model-sharing surface: BuildModels +
-// Mine*WithModels reproduce Mine exactly across an ε variation, and ModelKey
-// distinguishes γ-schemes but not ε.
+// MineWith's Models option reproduce Mine exactly across an ε variation, and
+// ModelKey distinguishes γ-schemes but not ε.
 func TestPublicAPISharedModels(t *testing.T) {
 	m := regcluster.MatrixFromRows([][]float64{
 		{0, 10, 20, 30, 40},

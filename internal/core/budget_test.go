@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"regcluster/internal/matrix"
-	"regcluster/internal/rwave"
 )
 
 // TestStatsAddCoversAllFields sets every Stats field to a sentinel by
@@ -117,7 +116,7 @@ func TestMatchCandidateZeroBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn := newMiner(m, p, rwave.Kernels(models), newBudget(p, nil))
+	mn := newMiner(m, p, models, newBudget(p, nil))
 	mn.sc.ensure(m.Rows(), m.Cols())
 	// Chain (c0, c1) has baseline 0 for gene 0; candidate c2 is a regulation
 	// successor of c1, so without the guard H = 1/0 = +Inf.

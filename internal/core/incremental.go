@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"regcluster/internal/matrix"
 	"regcluster/internal/rwave"
 )
@@ -56,10 +54,10 @@ type IncrementalInfo struct {
 }
 
 // gammaAbsFor resolves the absolute per-gene threshold (m, p) implies for
-// gene g, mirroring prepare's scheme dispatch: custom thresholds verbatim,
-// AbsoluteGamma verbatim, and otherwise the paper's Equation 4 relative form
-// γ_g = Gamma × RowRange(g) — the exact expression rwave.Build evaluates, so
-// a model built with this threshold is bit-identical to prepare's.
+// gene g — the γ-scheme dispatch of every model-set build: custom thresholds
+// verbatim, AbsoluteGamma verbatim, and otherwise the paper's Equation 4
+// relative form γ_g = Gamma × RowRange(g), the exact expression rwave.Build
+// evaluates.
 func gammaAbsFor(m *matrix.Matrix, p Params, g int) float64 {
 	switch {
 	case p.CustomGammas != nil:
@@ -71,40 +69,24 @@ func gammaAbsFor(m *matrix.Matrix, p Params, g int) float64 {
 	}
 }
 
-// RepairModels builds the packed model set for (child, p), splicing each
-// gene's appended conditions into its parent model where rwave.Repair's fast
-// path is sound (same gene, identical prefix values, unchanged absolute
-// threshold) and rebuilding that gene cold otherwise — including the
-// relative-gamma case where appended values grow a row's range and shift its
-// threshold. parentModels may be shorter than the child's gene count (genes
-// appended) or nil; missing genes build cold. The parent models are never
-// mutated or rebound: the result is a fresh set, packed like BuildModels'
-// output and byte-identical to it (TestDifferentialRepairVsBuildModels).
+// RepairModels builds the model set for (child, p), splicing each gene's
+// appended conditions into its model in parent where rwave's repair is sound
+// (same gene, identical prefix values, unchanged absolute threshold) and
+// rebuilding that gene cold otherwise — including the relative-gamma case
+// where appended values grow a row's range and shift its threshold. parent
+// may have fewer genes than the child (genes appended) or be nil; missing
+// genes build cold. parent is never mutated: the result is a fresh set,
+// byte-identical to BuildModels' output (TestDifferentialRepairVsBuildModels).
 // The second return counts genes repaired on the fast path.
-func RepairModels(child *matrix.Matrix, p Params, parentModels []*rwave.Model, o *Observer) ([]*rwave.Model, int, error) {
+func RepairModels(child *matrix.Matrix, p Params, parent *rwave.Set, o *Observer) (*rwave.Set, int, error) {
 	if err := validateInputs(child, p); err != nil {
 		return nil, 0, err
 	}
-	var repaired atomic.Int64
-	sp := o.traceSpan()
-	bsp := sp.Start("rwave.repair")
-	models := rwave.BuildAllSpan(child.Rows(), func(g int) *rwave.Model {
-		var old *rwave.Model
-		if g < len(parentModels) {
-			old = parentModels[g]
-		}
-		mod, fast := rwave.Repair(old, child, g, gammaAbsFor(child, p, g))
-		if fast {
-			repaired.Add(1)
-		}
-		return mod
-	}, bsp)
-	rwave.PackModels(models)
-	if bsp != nil {
-		bsp.SetInt("repaired", repaired.Load())
-		bsp.End()
-	}
-	return models, int(repaired.Load()), nil
+	bsp := o.traceSpan().Start("rwave.repair")
+	set, repaired := buildSet(child, p, parent, bsp)
+	bsp.SetInt("repaired", int64(repaired))
+	bsp.End()
+	return set, repaired, nil
 }
 
 // dirtyConditions computes the append delta's per-condition dirty bitmap:
@@ -114,28 +96,23 @@ func RepairModels(child *matrix.Matrix, p Params, parentModels []*rwave.Model, o
 // appended d is a successor of every condition ranked <= PredEnd[rank(d)]
 // and a predecessor of every condition ranked >= SuccStart[rank(d)], so one
 // pass over the appended conditions yields the gene's dirty rank range.
-func dirtyConditions(kern []rwave.Kernel, oldConds, conds int) []bool {
+func dirtyConditions(set *rwave.Set, oldConds, conds int) []bool {
 	dirty := make([]bool, conds)
 	for c := oldConds; c < conds; c++ {
 		dirty[c] = true
 	}
-	for g := range kern {
-		k := &kern[g]
+	for g := 0; g < set.Genes(); g++ {
+		mod := set.Model(g)
 		hi, lo := -1, conds
 		for d := oldConds; d < conds; d++ {
-			r := k.Rank[d]
-			if pe := k.PredEnd[r]; pe > hi {
-				hi = pe
-			}
-			if ss := k.SuccStart[r]; ss < lo {
-				lo = ss
-			}
+			hi = max(hi, mod.PredecessorEndRank(d))
+			lo = min(lo, mod.SuccessorStartRank(d))
 		}
 		for r := 0; r <= hi; r++ {
-			dirty[k.Order[r]] = true
+			dirty[mod.Order(r)] = true
 		}
 		for r := lo; r < conds; r++ {
-			dirty[k.Order[r]] = true
+			dirty[mod.Order(r)] = true
 		}
 	}
 	return dirty
@@ -185,12 +162,12 @@ func incrementalFallback(child *matrix.Matrix, p Params, par *Parent) string {
 // and nil for every dirty one, which the engine mines. The info reports the
 // split, or the fallback reason when no splice is possible (parts is then
 // nil and the run mines cold).
-func planSplice(child *matrix.Matrix, p Params, kern []rwave.Kernel, par *Parent) ([]*SubtreePartial, IncrementalInfo) {
+func planSplice(child *matrix.Matrix, p Params, set *rwave.Set, par *Parent) ([]*SubtreePartial, IncrementalInfo) {
 	if reason := incrementalFallback(child, p, par); reason != "" {
 		return nil, IncrementalInfo{Fallback: reason}
 	}
 	oldConds, conds := par.Matrix.Cols(), child.Cols()
-	dirty := dirtyConditions(kern, oldConds, conds)
+	dirty := dirtyConditions(set, oldConds, conds)
 	parts := make([]*SubtreePartial, conds)
 	reused := 0
 	for c := 0; c < oldConds; c++ {

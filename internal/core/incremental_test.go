@@ -49,36 +49,33 @@ func incrSchemes(rng *rand.Rand, rows int) []Params {
 	}
 }
 
-// sameModels compares two model sets field for field through their exported
-// views — the cross-package equivalent of the rwave package's byte-identity
-// check.
-func sameModels(t *testing.T, label string, got, want []*rwave.Model) {
+// sameModels compares two model sets gene by gene, field for field — the
+// threshold by its bit pattern — and their pointer lists.
+func sameModels(t *testing.T, label string, got, want *rwave.Set) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d models, want %d", label, len(got), len(want))
+	if got.Genes() != want.Genes() || got.Conditions() != want.Conditions() {
+		t.Fatalf("%s: set is %d×%d, want %d×%d", label, got.Genes(), got.Conditions(), want.Genes(), want.Conditions())
 	}
-	for g := range got {
-		if got[g].Gene() != want[g].Gene() ||
-			math.Float64bits(got[g].Gamma()) != math.Float64bits(want[g].Gamma()) {
-			t.Fatalf("%s: gene %d scalar mismatch (gene %d/%d γ %v/%v)", label, g,
-				got[g].Gene(), want[g].Gene(), got[g].Gamma(), want[g].Gamma())
+	for g := 0; g < got.Genes(); g++ {
+		gm, wm := got.Model(g), want.Model(g)
+		if math.Float64bits(gm.Gamma()) != math.Float64bits(wm.Gamma()) {
+			t.Fatalf("%s: gene %d γ %v, want %v", label, g, gm.Gamma(), wm.Gamma())
 		}
-		if !reflect.DeepEqual(got[g].Kernel(), want[g].Kernel()) {
-			t.Fatalf("%s: gene %d kernel mismatch\ngot:  %+v\nwant: %+v", label, g,
-				got[g].Kernel(), want[g].Kernel())
+		if !reflect.DeepEqual(*gm, *wm) {
+			t.Fatalf("%s: gene %d model mismatch\ngot:  %v\nwant: %v", label, g, gm, wm)
 		}
-		if !reflect.DeepEqual(got[g].Pointers(), want[g].Pointers()) {
+		if !reflect.DeepEqual(gm.Pointers(), wm.Pointers()) {
 			t.Fatalf("%s: gene %d pointer set mismatch", label, g)
 		}
 	}
 }
 
-// sameTables compares the condition-pair tables two packed model sets carry,
-// row by row: the Up bitset of every ordered condition pair and the
-// chain-length rows of every condition and length.
-func sameTables(t *testing.T, label string, got, want []*rwave.Model, conds int) {
+// sameTables compares the condition-pair tables of two model sets row by
+// row: the Up bitset of every ordered condition pair and the chain-length
+// rows of every condition and length.
+func sameTables(t *testing.T, label string, got, want *rwave.Set, conds int) {
 	t.Helper()
-	gt, wt := rwave.TablesOf(rwave.Kernels(got)), rwave.TablesOf(rwave.Kernels(want))
+	gt, wt := got.Tables(), want.Tables()
 	if gt.Genes() != wt.Genes() || gt.MaxLen() != wt.MaxLen() {
 		t.Fatalf("%s: tables cover %d genes / MaxLen %d, want %d / %d", label,
 			gt.Genes(), gt.MaxLen(), wt.Genes(), wt.MaxLen())
@@ -144,7 +141,7 @@ func TestDifferentialRepairVsBuildModels(t *testing.T) {
 // mineOnParent runs MineWith on child with parent as Options.Parent,
 // streaming to visit.
 func mineOnParent(ctx context.Context, child, parent *matrix.Matrix, p Params, workers int, visit Visitor,
-	childModels []*rwave.Model, parentRes *Result) (*Result, error) {
+	childModels *rwave.Set, parentRes *Result) (*Result, error) {
 	return MineWith(ctx, child, p, Options{Workers: workers, Visit: visit, Models: childModels,
 		Parent: &Parent{Matrix: parent, Result: parentRes}})
 }
@@ -275,7 +272,7 @@ func TestMineIncrementalFallbacks(t *testing.T) {
 		name      string
 		m, parent *matrix.Matrix
 		p         Params
-		models    []*rwave.Model
+		models    *rwave.Set
 		parentRes *Result
 		reason    string
 	}{
@@ -339,7 +336,7 @@ func TestMineIncrementalVisitorStop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dirty := dirtyConditions(rwave.Kernels(childModels), parent.Cols(), child.Cols())
+		dirty := dirtyConditions(childModels, parent.Cols(), child.Cols())
 		for k := 1; k <= len(cold.Clusters); k++ {
 			stopAt := func(got *[]*Bicluster) Visitor {
 				return func(b *Bicluster) bool { *got = append(*got, b); return len(*got) < k }

@@ -3,7 +3,7 @@ package core
 // Kernel microbenchmarks — the `make bench-kernels` suite. Each benchmark
 // isolates one inner-loop primitive of the columnar mining hot path (flat
 // frontier lookups, the candidate scan, Equation 7 scoring, the word-wise
-// bitset walk) on a slab-packed model set, so a regression in the packed
+// bitset walk) on a model set's per-gene views, so a regression in the set's
 // layout or the memoized arrays shows up here before it shows up in the
 // minutes-long Figure 7 runs.
 
@@ -19,7 +19,7 @@ import (
 var kernelSink int
 var kernelSinkF float64
 
-func kernelBenchSetup(b *testing.B, genes, conds int) (*matrix.Matrix, []rwave.Kernel) {
+func kernelBenchSetup(b *testing.B, genes, conds int) (*matrix.Matrix, *rwave.Set) {
 	b.Helper()
 	cfg := synthetic.Config{Genes: genes, Conds: conds, Clusters: 6, Seed: 3}
 	m, _, err := synthetic.Generate(cfg)
@@ -30,23 +30,23 @@ func kernelBenchSetup(b *testing.B, genes, conds int) (*matrix.Matrix, []rwave.K
 	if err != nil {
 		b.Fatal(err)
 	}
-	return m, rwave.Kernels(models)
+	return m, models
 }
 
 // BenchmarkKernelFrontierLookup measures the memoized Lemma 3.1 queries:
-// one SuccStart and one PredEnd load per (gene, condition) pair.
+// one successor-start and one predecessor-end load per (gene, condition)
+// pair.
 func BenchmarkKernelFrontierLookup(b *testing.B) {
-	m, kern := kernelBenchSetup(b, 500, 30)
+	m, set := kernelBenchSetup(b, 500, 30)
 	conds := m.Cols()
 	b.ReportAllocs()
 	b.ResetTimer()
 	sum := 0
 	for i := 0; i < b.N; i++ {
-		for g := range kern {
-			k := &kern[g]
+		for g := 0; g < set.Genes(); g++ {
+			mod := set.Model(g)
 			for c := 0; c < conds; c++ {
-				r := k.Rank[c]
-				sum += k.SuccStart[r] + k.PredEnd[r]
+				sum += mod.SuccessorStartRank(c) + mod.PredecessorEndRank(c)
 			}
 		}
 	}
@@ -54,10 +54,11 @@ func BenchmarkKernelFrontierLookup(b *testing.B) {
 }
 
 // BenchmarkKernelCandidateScan measures the extend-style successor scan: for
-// every gene, walk order[SuccStart(last):] and dedup against a chain-seeded
-// bitset, exactly as the miner collects candidate conditions.
+// every gene, walk the regulation successors of the chain tail and dedup
+// against a chain-seeded bitset, exactly as the miner collects candidate
+// conditions.
 func BenchmarkKernelCandidateScan(b *testing.B) {
-	m, kern := kernelBenchSetup(b, 500, 30)
+	m, set := kernelBenchSetup(b, 500, 30)
 	conds := m.Cols()
 	inChain := newCondSet(conds)
 	inChain.set(0)
@@ -70,11 +71,9 @@ func BenchmarkKernelCandidateScan(b *testing.B) {
 		const last = 0
 		cand = cand[:0]
 		seen.copyFrom(inChain)
-		for g := range kern {
-			k := &kern[g]
-			order := k.Order
-			for r := k.SuccStart[k.Rank[last]]; r < len(order); r++ {
-				if c := order[r]; !seen.has(c) {
+		for g := 0; g < set.Genes(); g++ {
+			for _, c := range set.Model(g).Successors(last) {
+				if !seen.has(c) {
 					seen.set(c)
 					cand = append(cand, c)
 				}
@@ -89,16 +88,16 @@ func BenchmarkKernelCandidateScan(b *testing.B) {
 // Equation 7 quotient per gene against a fixed baseline chain, including the
 // non-finite guard of the real member loop.
 func BenchmarkKernelEquation7(b *testing.B) {
-	m, kern := kernelBenchSetup(b, 500, 30)
+	m, set := kernelBenchSetup(b, 500, 30)
 	c0, c1 := 0, 1
 	last, ci := 1, m.Cols()-1
 	b.ReportAllocs()
 	b.ResetTimer()
 	sum := 0.0
 	for i := 0; i < b.N; i++ {
-		for g := range kern {
-			v := kern[g].ValueByCond
-			h := (v[ci] - v[last]) / (v[c1] - v[c0])
+		for g := 0; g < set.Genes(); g++ {
+			mod := set.Model(g)
+			h := (mod.ValueOf(ci) - mod.ValueOf(last)) / (mod.ValueOf(c1) - mod.ValueOf(c0))
 			if math.IsInf(h, 0) || math.IsNaN(h) {
 				continue
 			}
@@ -143,7 +142,7 @@ func BenchmarkKernelLevel2Candidates(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mn := newMiner(m, p, rwave.Kernels(models), newBudget(p, nil))
+	mn := newMiner(m, p, models, newBudget(p, nil))
 	sc := &mn.sc
 	sc.ensure(m.Rows(), m.Cols())
 	level2 := func(c0, c1 int) int {

@@ -6,14 +6,12 @@ package core
 // on clusters, order and every Stats counter.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"regcluster/internal/matrix"
-	"regcluster/internal/rwave"
 	"regcluster/internal/synthetic"
 )
 
@@ -118,30 +116,4 @@ func TestDifferentialKernelEdges(t *testing.T) {
 		t.Fatal("denormal matrix produced no non-finite scores; the case is vacuous")
 	}
 	checkDifferential(t, den, p, "gamma 0 non-finite")
-}
-
-// TestMineWithUnpackedModels mines with a caller-supplied model set that was
-// never packed: the run builds tables for it and must match a packed run.
-func TestMineWithUnpackedModels(t *testing.T) {
-	rng := rand.New(rand.NewSource(20261021))
-	m := diffRandomMatrix(rng, 100, 6)
-	p := Params{MinG: 6, MinC: 3, Gamma: 0.1, Epsilon: 0.5}
-	loose := make([]*rwave.Model, m.Rows())
-	for g := range loose {
-		loose[g] = rwave.Build(m, g, p.Gamma)
-	}
-	want, err := Mine(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3} {
-		got, err := MineWith(context.Background(), m, p, Options{Workers: workers, Models: loose})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameClustersExact(want.Clusters, got.Clusters) || want.Stats != got.Stats {
-			t.Fatalf("workers %d: unpacked models diverge: %d/%d clusters, %+v vs %+v",
-				workers, len(got.Clusters), len(want.Clusters), got.Stats, want.Stats)
-		}
-	}
 }

@@ -73,7 +73,7 @@ type Options struct {
 	Checkpoint CheckpointConfig
 	// Models reuses a prebuilt RWave model set from BuildModels on the same
 	// matrix with a ModelKey-equivalent Params; nil builds one for the run.
-	Models []*rwave.Model
+	Models *rwave.Set
 	// Parent, when set, is a settled run over a matrix that this one grew
 	// from by appended conditions. Every subtree the appended conditions
 	// cannot reach is spliced from it unmined; the output is still exactly
@@ -104,7 +104,7 @@ func Mine(m *matrix.Matrix, p Params) (*Result, error) {
 // With Visit set, the returned Result carries only Stats.
 func MineWith(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Result, error) {
 	sp := o.Observer.traceSpan()
-	_, kern, err := resolveModels(m, p, o.Models, sp)
+	set, err := resolveModels(m, p, o.Models, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -117,11 +117,11 @@ func MineWith(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Resu
 	var spliced []*SubtreePartial
 	if o.Parent != nil {
 		var info IncrementalInfo
-		spliced, info = planSplice(m, p, kern, o.Parent)
+		spliced, info = planSplice(m, p, set, o.Parent)
 		res.Incremental = &info
 	}
 	if workers <= 1 && o.Resume == nil && !o.Checkpoint.enabled() && spliced == nil {
-		mn, err := mineSequential(ctx, m, p, kern, o.Visit, o.Observer, sp)
+		mn, err := mineSequential(ctx, m, p, set, o.Visit, o.Observer, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +146,7 @@ func MineWith(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Resu
 			defer sp.End()
 		}
 	}
-	if res.Stats, res.Subtrees, err = mineParallel(ctx, m, p, kern, max(workers, 1), visit, o, sp, spliced); err != nil {
+	if res.Stats, res.Subtrees, err = mineParallel(ctx, m, p, set, max(workers, 1), visit, o, sp, spliced); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -155,8 +155,8 @@ func MineWith(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Resu
 // mineSequential runs the whole search on the calling goroutine against one
 // budget. With a nil visitor the clusters accumulate on the returned miner's
 // out slice; otherwise they stream to the visitor.
-func mineSequential(ctx context.Context, m *matrix.Matrix, p Params, kern []rwave.Kernel, visit Visitor, o *Observer, sp *obs.Span) (*miner, error) {
-	mn := newMiner(m, p, kern, newBudget(p, ctx))
+func mineSequential(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Set, visit Visitor, o *Observer, sp *obs.Span) (*miner, error) {
+	mn := newMiner(m, p, set, newBudget(p, ctx))
 	mn.obs = o
 	mn.span = sp
 	if visit != nil {
@@ -193,72 +193,58 @@ func validateInputs(m *matrix.Matrix, p Params) error {
 	return nil
 }
 
-// prepare validates the inputs, builds the per-gene RWave models — fanning
-// the construction out across CPUs for large gene counts (the models are
-// independent per gene, and a parallel run shares the one resulting slice
-// between all workers and reconciliation reruns) — and packs the fresh set
-// into a contiguous ModelSlab (rwave.PackModels), so every downstream miner
-// walks a few large cache-friendly backing arrays instead of ~nGenes
-// scattered objects. When sp is non-nil the index construction is recorded
-// as an "rwave.build" child span with per-chunk children; a nil sp costs
-// nothing.
-func prepare(m *matrix.Matrix, p Params, sp *obs.Span) ([]*rwave.Model, error) {
+// prepare validates the inputs and builds m's model set under p's
+// γ-scheme. The build fans out across CPUs for large gene counts — the
+// models are independent per gene, and a parallel run shares the one
+// resulting set between all workers and reconciliation reruns. When sp is
+// non-nil the index construction is recorded as an "rwave.build" child span
+// with per-chunk children; a nil sp costs nothing.
+func prepare(m *matrix.Matrix, p Params, sp *obs.Span) (*rwave.Set, error) {
 	if err := validateInputs(m, p); err != nil {
 		return nil, err
 	}
 	bsp := sp.Start("rwave.build")
-	models := rwave.BuildAllSpan(m.Rows(), func(g int) *rwave.Model {
-		switch {
-		case p.CustomGammas != nil:
-			return rwave.BuildAbsolute(m, g, p.CustomGammas[g])
-		case p.AbsoluteGamma:
-			return rwave.BuildAbsolute(m, g, p.Gamma)
-		default:
-			return rwave.Build(m, g, p.Gamma)
-		}
-	}, bsp)
-	// Packing rebinds the models' storage in place; it must happen here,
-	// while the freshly built set is still exclusively ours. Prebuilt sets
-	// arriving through resolveModels are already packed (they came from
-	// BuildModels) and may be shared concurrently, so they are never
-	// repacked.
-	rwave.PackModels(models)
+	set, _ := buildSet(m, p, nil, bsp)
 	bsp.End()
-	return models, nil
+	return set, nil
+}
+
+// buildSet is the one model-set builder behind BuildModels and
+// RepairModels: gene g's threshold is gammaAbsFor(m, p, g), and parent, when
+// non-nil, is the set of a matrix m grew from by appended conditions (see
+// rwave.BuildSet). It returns the set and the number of genes repaired.
+func buildSet(m *matrix.Matrix, p Params, parent *rwave.Set, sp *obs.Span) (*rwave.Set, int) {
+	return rwave.BuildSet(m, func(g int) float64 { return gammaAbsFor(m, p, g) }, parent, sp)
 }
 
 // resolveModels is the single entry every miner front-end funnels through:
-// with nil models it validates and builds (prepare); with a caller-supplied
-// slice it still validates the inputs — the prebuilt index must have come
-// from an equivalent BuildModels call, which these checks keep honest — and
-// only verifies the gene count, since re-deriving the per-gene thresholds to
-// cross-check each Model would cost as much as rebuilding. Alongside the
-// models it returns their flat kernel views (rwave.Kernels), which every
-// miner of the run shares read-only.
-func resolveModels(m *matrix.Matrix, p Params, models []*rwave.Model, sp *obs.Span) ([]*rwave.Model, []rwave.Kernel, error) {
-	if models == nil {
-		built, err := prepare(m, p, sp)
-		if err != nil {
-			return nil, nil, err
-		}
-		return built, rwave.Kernels(built), nil
+// with a nil set it validates and builds (prepare); with a caller-supplied
+// set it still validates the inputs — the prebuilt index must have come from
+// an equivalent BuildModels call, which these checks keep honest — and
+// requires the set's genes × conditions to be the matrix's. The per-gene
+// thresholds are not re-derived: cross-checking each model would cost as
+// much as rebuilding. Every miner of the run shares the set read-only.
+func resolveModels(m *matrix.Matrix, p Params, set *rwave.Set, sp *obs.Span) (*rwave.Set, error) {
+	if set == nil {
+		return prepare(m, p, sp)
 	}
 	if err := validateInputs(m, p); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if len(models) != m.Rows() {
-		return nil, nil, fmt.Errorf("core: %d prebuilt models for %d genes", len(models), m.Rows())
+	if set.Genes() != m.Rows() || set.Conditions() != m.Cols() {
+		return nil, fmt.Errorf("core: prebuilt model set is %d×%d, matrix is %d×%d",
+			set.Genes(), set.Conditions(), m.Rows(), m.Cols())
 	}
-	return models, rwave.Kernels(models), nil
+	return set, nil
 }
 
 type miner struct {
 	m     *matrix.Matrix
 	p     Params
-	kern  []rwave.Kernel // flat per-gene model views, shared read-only across the run
-	tab   rwave.Tables   // the set's condition-pair tables (chain lengths 1 and 2)
-	bud   *budget        // global caps + cancellation, shared across workers
-	dedup dedupSet       // pruning (3b) duplicate-state suppression
+	set   *rwave.Set   // the run's model set, shared read-only across the run
+	tab   rwave.Tables // the set's condition-pair tables (chain lengths 1 and 2)
+	bud   *budget      // global caps + cancellation, shared across workers
+	dedup dedupSet     // pruning (3b) duplicate-state suppression
 	out   []*Bicluster
 	// sink, when set, receives each cluster as it is found together with the
 	// miner-local node ordinal of its emission (stats.Nodes at that moment),
@@ -278,11 +264,11 @@ type miner struct {
 
 // newMiner builds one mining session bound to the given (usually shared)
 // budget. Every construction site must come through here so the scratch
-// arena and dedup set are always initialized. kern is the run's shared flat
-// view of the model set (resolveModels builds it once per run); its
-// condition-pair tables come with it.
-func newMiner(m *matrix.Matrix, p Params, kern []rwave.Kernel, bud *budget) *miner {
-	return &miner{m: m, p: p, kern: kern, tab: rwave.TablesOf(kern), bud: bud, dedup: newDedupSet()}
+// arena and dedup set are always initialized. set is the run's shared model
+// set (resolveModels resolves it once per run); its condition-pair tables
+// come with it.
+func newMiner(m *matrix.Matrix, p Params, set *rwave.Set, bud *budget) *miner {
+	return &miner{m: m, p: p, set: set, tab: *set.Tables(), bud: bud, dedup: newDedupSet()}
 }
 
 // run mines every level-1 subtree in starting-condition order. Each subtree
@@ -437,16 +423,13 @@ func (mn *miner) extend(members []member, pCount int) {
 		// supported by no p-member cannot lead to a representative chain).
 		// Seeding the dedup bitset with the chain membership (one word-wise
 		// copy) folds the two per-condition tests of the loop into one.
-		seen := mn.sc.candSeen
+		seen, set := mn.sc.candSeen, mn.set
 		seen.copyFrom(mn.sc.inChain)
 		for _, mb := range members {
 			if !mb.up {
 				continue
 			}
-			k := &mn.kern[mb.gene]
-			order := k.Order
-			for r := k.SuccStart[k.Rank[last]]; r < len(order); r++ {
-				c := order[r]
+			for _, c := range set.Model(mb.gene).Successors(last) {
 				if !seen.has(c) {
 					seen.set(c)
 					cand = append(cand, c)
@@ -594,11 +577,12 @@ func (mn *miner) scoreSurvivors(ci int, sp, sn geneSet, f *frame) []extMember {
 // the level-2 chain for candidate ci.
 func (mn *miner) appendScored(ext []extMember, ci int, set geneSet, up bool) []extMember {
 	c0, c1 := mn.sc.chain[0], mn.sc.chain[1]
+	models := mn.set
 	for w, x := range set {
 		for ; x != 0; x &= x - 1 {
 			g := w<<6 | bits.TrailingZeros64(x)
-			v := mn.kern[g].ValueByCond
-			h := (v[ci] - v[c1]) / (v[c1] - v[c0])
+			mod := models.Model(g)
+			h := (mod.ValueOf(ci) - mod.ValueOf(c1)) / (mod.ValueOf(c1) - mod.ValueOf(c0))
 			if math.IsInf(h, 0) || math.IsNaN(h) {
 				mn.stats.NonFiniteH++
 				continue
@@ -695,28 +679,28 @@ func (mn *miner) matchCandidate(members []member, last, ci int, f *frame) []extM
 	}
 	prune := !mn.p.DisableChainLengthPruning
 	minC := mn.p.MinC
+	set := mn.set
 	ext := f.ext[:0]
 	for _, mb := range members {
-		// Every test below is a flat array load on the gene's kernel view:
-		// the Lemma 3.1 frontier (SuccStart/PredEnd) and the chain-length
-		// bound (UpLen/DownLen) were memoized at build time, and the
-		// Equation 7 values come from the condition-indexed row copy, so the
-		// member loop does arithmetic, not binary searches.
-		k := &mn.kern[mb.gene]
-		rLast, rCi := k.Rank[last], k.Rank[ci]
+		// Every test below is a flat array load on the gene's model: the
+		// Lemma 3.1 frontier and the chain-length bound of pruning (2) were
+		// memoized at build time, and the Equation 7 values come from the
+		// condition-indexed row copy, so the member loop does arithmetic,
+		// not binary searches.
+		mod := set.Model(mb.gene)
 		if mb.up {
-			if rCi < k.SuccStart[rLast] {
+			if !mod.IsSuccessor(last, ci) {
 				continue
 			}
-			if prune && chainLen+k.UpLen[rCi] < minC {
+			if prune && chainLen+mod.MaxUpChainFrom(ci) < minC {
 				mn.stats.MembersDroppedByLength++
 				continue
 			}
 		} else {
-			if rCi > k.PredEnd[rLast] {
+			if !mod.IsPredecessor(last, ci) {
 				continue
 			}
-			if prune && chainLen+k.DownLen[rCi] < minC {
+			if prune && chainLen+mod.MaxDownChainFrom(ci) < minC {
 				mn.stats.MembersDroppedByLength++
 				continue
 			}
@@ -730,9 +714,8 @@ func (mn *miner) matchCandidate(members []member, last, ci int, f *frame) []extM
 			// non-finite score can never satisfy an ε-window with any other
 			// member, and NaN would corrupt the sort below, so such members
 			// are dropped here and counted in stats.NonFiniteH.
-			v := k.ValueByCond
-			base := v[c1] - v[c0]
-			h = (v[ci] - v[last]) / base
+			base := mod.ValueOf(c1) - mod.ValueOf(c0)
+			h = (mod.ValueOf(ci) - mod.ValueOf(last)) / base
 			if math.IsInf(h, 0) || math.IsNaN(h) {
 				mn.stats.NonFiniteH++
 				continue

@@ -18,22 +18,17 @@ import (
 // BuildModels constructs a shareable model set, ModelKey names it
 // canonically, and Options.Models accepts it.
 
-// RWaveModel aliases rwave.Model so callers above internal/ (the facade, the
-// service layer) can hold and exchange prebuilt model sets without importing
-// the index package directly.
-type RWaveModel = rwave.Model
-
-// BuildModels validates (m, p) and constructs the per-gene RWave models that
-// Mine would build internally, fanning the construction across CPUs for large
-// gene counts. The result is immutable after construction and safe to share:
-// between concurrent MineWith calls, across worker pools, and across
-// any number of runs whose parameters agree on the γ-scheme — i.e. have the
-// same ModelKey. Varying Epsilon, MinG, MinC, the caps, or the ablation
-// switches does not invalidate a model set.
+// BuildModels validates (m, p) and builds the RWave model set Mine would
+// build internally, fanning the construction across CPUs for large gene
+// counts. The set is immutable after construction and safe to share: between
+// concurrent MineWith calls, across worker pools, and across any number of
+// runs over m whose parameters agree on the γ-scheme — i.e. have the same
+// ModelKey. Varying Epsilon, MinG, MinC, the caps, or the ablation switches
+// does not invalidate a model set.
 //
 // A non-nil Observer with an attached span records the construction as an
 // "rwave.build" child span, exactly as a plain Mine run would.
-func BuildModels(m *matrix.Matrix, p Params, o *Observer) ([]*rwave.Model, error) {
+func BuildModels(m *matrix.Matrix, p Params, o *Observer) (*rwave.Set, error) {
 	return prepare(m, p, o.traceSpan())
 }
 

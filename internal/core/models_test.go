@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"regcluster/internal/matrix"
 )
 
 // TestWithModelsEquivalence: mining with a prebuilt model set must reproduce
@@ -88,7 +90,9 @@ func TestWithModelsResumable(t *testing.T) {
 }
 
 // TestWithModelsRejectsBadInputs: a prebuilt model set does not bypass input
-// validation, and a gene-count mismatch is caught.
+// validation, and a set built for another shape — fewer genes, fewer or more
+// conditions — is an error at one worker and at several, and on every other
+// entry that takes a set.
 func TestWithModelsRejectsBadInputs(t *testing.T) {
 	m := randomMatrix(20, 8, 1)
 	p := Params{MinG: 3, MinC: 3, Gamma: 0.05, Epsilon: 0.8}
@@ -101,14 +105,41 @@ func TestWithModelsRejectsBadInputs(t *testing.T) {
 	if _, err := MineWith(context.Background(), m, bad, Options{Workers: 1, Models: models}); err == nil {
 		t.Error("non-finite Epsilon accepted via WithModels")
 	}
-	if _, err := MineWith(context.Background(), m, p, Options{Workers: 1, Models: models[:10]}); err == nil {
-		t.Error("model/gene count mismatch accepted")
-	}
-	if _, err := MineWith(context.Background(), m, p, Options{Workers: 2, Models: models[:10]}); err == nil {
-		t.Error("model/gene count mismatch accepted by parallel entry")
-	}
 	if _, err := BuildModels(m, bad, nil); err == nil {
 		t.Error("BuildModels accepted non-finite Epsilon")
+	}
+
+	wide, narrow := randomMatrix(40, 9, 2), randomMatrix(40, 6, 3)
+	q := Params{MinG: 3, MinC: 3, Gamma: 0.1, Epsilon: 0.5}
+	cases := []struct {
+		name   string
+		m      *matrix.Matrix
+		p      Params
+		models *matrix.Matrix // the matrix the set is built for
+	}{
+		{"10-gene set", m, p, randomMatrix(10, 8, 4)},
+		{"40×9 set, 40×6 matrix", narrow, q, wide},
+		{"40×6 set, 40×9 matrix", wide, q, narrow},
+	}
+	for _, tc := range cases {
+		set, err := BuildModels(tc.models, tc.p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			if _, err := MineWith(context.Background(), tc.m, tc.p, Options{Workers: workers, Models: set}); err == nil {
+				t.Errorf("%s: accepted at %d workers", tc.name, workers)
+			}
+		}
+		if _, err := SubtreeOrder(tc.m, tc.p, set); err == nil {
+			t.Errorf("%s: accepted by SubtreeOrder", tc.name)
+		}
+		if _, err := MineSubtreeFunc(context.Background(), tc.m, tc.p, 0, set, func(SubtreeCluster) bool { return true }); err == nil {
+			t.Errorf("%s: accepted by MineSubtreeFunc", tc.name)
+		}
+		if _, err := NewSubtreeMerger(context.Background(), tc.m, tc.p, set, func(*Bicluster) bool { return true }, nil, CheckpointConfig{}); err == nil {
+			t.Errorf("%s: accepted by NewSubtreeMerger", tc.name)
+		}
 	}
 }
 

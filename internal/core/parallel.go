@@ -32,12 +32,12 @@ import (
 // spliced subtree settles exactly as it would on a cold run.
 
 // mineParallel runs the engine for MineWith: workers >= 1 goroutines over
-// the run's shared kernel views. spliced, when non-nil, holds a recorded
+// the run's shared model set. spliced, when non-nil, holds a recorded
 // partial for every subtree that is not to be mined (nil entries are
 // mined). It returns the run's Stats and, for a run that covered every
 // subtree from condition 0 untruncated, each subtree's isolated Stats.
-func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, kern []rwave.Kernel, workers int, visit Visitor, o Options, sp *obs.Span, spliced []*SubtreePartial) (Stats, []Stats, error) {
-	g, err := newMerger(ctx, m, p, kern, visit, o.Resume, o.Checkpoint)
+func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Set, workers int, visit Visitor, o Options, sp *obs.Span, spliced []*SubtreePartial) (Stats, []Stats, error) {
+	g, err := newMerger(ctx, m, p, set, visit, o.Resume, o.Checkpoint)
 	if err != nil {
 		return Stats{}, nil, err
 	}
@@ -45,7 +45,7 @@ func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, kern []rwave.
 	if g.done { // the checkpoint already covers the whole run
 		return g.result()
 	}
-	e := &engine{m: m, p: p, kern: kern, bud: newBudget(p, ctx), obs: o.Observer, sp: sp,
+	e := &engine{m: m, p: p, set: set, bud: newBudget(p, ctx), obs: o.Observer, sp: sp,
 		subs: make([]*subtree, m.Cols())}
 	if r := o.Resume; r != nil {
 		// Pre-charge the shared budget with the settled prefix so MaxNodes/
@@ -76,7 +76,7 @@ func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, kern []rwave.
 	// the first cluster of a 600×30 mine from about 4 to 6.6 ms.
 	start := g.next
 	go func() {
-		for _, c := range subtreeOrder(m, p, kern) {
+		for _, c := range subtreeOrder(m, p, set) {
 			// Earlier subtrees settled before the resume snapshot; spliced
 			// ones are already finished.
 			if c >= start && (spliced == nil || spliced[c] == nil) {
@@ -99,7 +99,7 @@ func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, kern []rwave.
 type engine struct {
 	m    *matrix.Matrix
 	p    Params
-	kern []rwave.Kernel // shared flat model views (see resolveModels)
+	set  *rwave.Set // the run's shared model set (see resolveModels)
 	bud  *budget
 	obs  *Observer
 	sp   *obs.Span // optional trace parent for subtree spans; nil = off
@@ -137,7 +137,7 @@ func (e *engine) mineSubtree(c int) {
 		return
 	}
 	ssp := e.sp.Start("subtree")
-	mn := newMiner(e.m, e.p, e.kern, e.bud)
+	mn := newMiner(e.m, e.p, e.set, e.bud)
 	mn.sink = sub.push
 	mn.obs = e.obs
 	mn.runFrom(c)
@@ -301,9 +301,9 @@ func (s *subtree) final() (Stats, bool) {
 // highly skewed, so dispatching the largest first keeps the pool busy to the
 // end instead of leaving one worker grinding a giant subtree after the queue
 // drains. Ties keep ascending condition order, so dispatch is deterministic.
-func subtreeOrder(m *matrix.Matrix, p Params, kern []rwave.Kernel) []int {
+func subtreeOrder(m *matrix.Matrix, p Params, set *rwave.Set) []int {
 	nConds := m.Cols()
-	tab := rwave.TablesOf(kern)
+	tab := set.Tables()
 	minC := rootChainBound(p)
 	size := make([]int, nConds)
 	for c := range size {

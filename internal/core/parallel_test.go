@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"regcluster/internal/matrix"
-	"regcluster/internal/rwave"
 )
 
 // equivalenceWorkers are the pool sizes the ISSUE acceptance criteria pin
@@ -366,7 +365,7 @@ func TestSubtreeOrderLargestFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := subtreeOrder(m, p, rwave.Kernels(models))
+	order := subtreeOrder(m, p, models)
 	if len(order) != m.Cols() {
 		t.Fatalf("order has %d entries for %d conditions", len(order), m.Cols())
 	}
@@ -374,10 +373,10 @@ func TestSubtreeOrderLargestFirst(t *testing.T) {
 	est := func(c int) int {
 		n := 0
 		for g := 0; g < m.Rows(); g++ {
-			if models[g].MaxUpChainFrom(c) >= p.MinC {
+			if models.Model(g).MaxUpChainFrom(c) >= p.MinC {
 				n++
 			}
-			if models[g].MaxDownChainFrom(c) >= p.MinC {
+			if models.Model(g).MaxDownChainFrom(c) >= p.MinC {
 				n++
 			}
 		}

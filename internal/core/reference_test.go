@@ -20,7 +20,7 @@ import (
 type refMiner struct {
 	m      *matrix.Matrix
 	p      Params
-	models []*rwave.Model
+	models *rwave.Set
 	bud    *budget
 	seen   map[string]bool
 	out    []*Bicluster
@@ -45,7 +45,7 @@ func (mn *refMiner) runFrom(c int) {
 	nGenes := mn.m.Rows()
 	members := make([]member, 0, nGenes)
 	for g := 0; g < nGenes; g++ {
-		mod := mn.models[g]
+		mod := mn.models.Model(g)
 		if mn.p.DisableChainLengthPruning || mod.MaxUpChainFrom(c) >= mn.p.MinC {
 			members = append(members, member{g, true})
 		} else {
@@ -130,7 +130,7 @@ func (mn *refMiner) extend(chain []int, members []member, pCount int) {
 			if !mb.up {
 				continue
 			}
-			mod := mn.models[mb.gene]
+			mod := mn.models.Model(mb.gene)
 			for r := mod.SuccessorStartRank(last); r < mod.Conditions(); r++ {
 				c := mod.Order(r)
 				if !seen[c] && !inChain[c] {
@@ -173,7 +173,7 @@ func (mn *refMiner) matchCandidate(chain []int, members []member, last, ci int) 
 	chainLen := len(chain)
 	var ext []extMember
 	for _, mb := range members {
-		mod := mn.models[mb.gene]
+		mod := mn.models.Model(mb.gene)
 		if mb.up {
 			if !mod.IsSuccessor(last, ci) {
 				continue

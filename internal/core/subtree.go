@@ -47,12 +47,12 @@ type SubtreePartial struct {
 // largest-estimated-subtree-first dispatch order the parallel engine uses.
 // A coordinator leasing subtrees to workers should issue them in this order
 // so the skewed tail does not land last.
-func SubtreeOrder(m *matrix.Matrix, p Params, models []*rwave.Model) ([]int, error) {
-	_, kern, err := resolveModels(m, p, models, nil)
+func SubtreeOrder(m *matrix.Matrix, p Params, models *rwave.Set) ([]int, error) {
+	set, err := resolveModels(m, p, models, nil)
 	if err != nil {
 		return nil, err
 	}
-	return subtreeOrder(m, p, kern), nil
+	return subtreeOrder(m, p, set), nil
 }
 
 // MineSubtreeFunc mines the single level-1 subtree rooted at cond, streaming
@@ -63,11 +63,11 @@ func SubtreeOrder(m *matrix.Matrix, p Params, models []*rwave.Model) ([]int, err
 // visit abandons the subtree — the partial is then incomplete (Truncated is
 // set) and must not be offered to a merger. ctx cancels cooperatively at node
 // and candidate boundaries.
-func MineSubtreeFunc(ctx context.Context, m *matrix.Matrix, p Params, cond int, models []*rwave.Model, visit func(SubtreeCluster) bool) (Stats, error) {
+func MineSubtreeFunc(ctx context.Context, m *matrix.Matrix, p Params, cond int, models *rwave.Set, visit func(SubtreeCluster) bool) (Stats, error) {
 	if visit == nil {
 		return Stats{}, fmt.Errorf("core: MineSubtreeFunc requires a visitor")
 	}
-	_, kern, err := resolveModels(m, p, models, nil)
+	set, err := resolveModels(m, p, models, nil)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -77,7 +77,7 @@ func MineSubtreeFunc(ctx context.Context, m *matrix.Matrix, p Params, cond int, 
 	iso := p
 	iso.MaxNodes, iso.MaxClusters = 0, 0
 	bud := newBudget(iso, ctx)
-	mn := newMiner(m, iso, kern, bud)
+	mn := newMiner(m, iso, set, bud)
 	mn.sink = func(b *Bicluster, node int) bool {
 		return visit(SubtreeCluster{Cluster: b, Node: node})
 	}
@@ -105,7 +105,7 @@ type SubtreeMerger struct {
 	ctx   context.Context
 	m     *matrix.Matrix
 	p     Params
-	kern  []rwave.Kernel // shared flat model views for reconciliation reruns
+	set   *rwave.Set // the shared model set for reconciliation reruns
 	visit Visitor
 	ck    CheckpointConfig
 	sp    *obs.Span // optional trace parent for reconciliation reruns
@@ -142,20 +142,20 @@ type SubtreeMerger struct {
 // run's checkpoint (its prefix is never re-delivered), and ck emits new
 // snapshots at subtree boundaries plus every EveryClusters deliveries. ctx
 // bounds reconciliation reruns; nil means background.
-func NewSubtreeMerger(ctx context.Context, m *matrix.Matrix, p Params, models []*rwave.Model, visit Visitor, resume *Checkpoint, ck CheckpointConfig) (*SubtreeMerger, error) {
-	_, kern, err := resolveModels(m, p, models, nil)
+func NewSubtreeMerger(ctx context.Context, m *matrix.Matrix, p Params, models *rwave.Set, visit Visitor, resume *Checkpoint, ck CheckpointConfig) (*SubtreeMerger, error) {
+	set, err := resolveModels(m, p, models, nil)
 	if err != nil {
 		return nil, err
 	}
-	return newMerger(ctx, m, p, kern, visit, resume, ck)
+	return newMerger(ctx, m, p, set, visit, resume, ck)
 }
 
-// newMerger is NewSubtreeMerger over an already resolved kernel set.
-func newMerger(ctx context.Context, m *matrix.Matrix, p Params, kern []rwave.Kernel, visit Visitor, resume *Checkpoint, ck CheckpointConfig) (*SubtreeMerger, error) {
+// newMerger is NewSubtreeMerger over an already resolved model set.
+func newMerger(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Set, visit Visitor, resume *Checkpoint, ck CheckpointConfig) (*SubtreeMerger, error) {
 	if visit == nil {
 		return nil, fmt.Errorf("core: SubtreeMerger requires a visitor")
 	}
-	g := &SubtreeMerger{ctx: ctx, m: m, p: p, kern: kern, visit: visit, ck: ck}
+	g := &SubtreeMerger{ctx: ctx, m: m, p: p, set: set, visit: visit, ck: ck}
 	if resume != nil {
 		if err := resume.Validate(m.Cols()); err != nil {
 			return nil, err
@@ -403,7 +403,7 @@ func (g *SubtreeMerger) rerun(c, skip int, deliver bool, clusterCap int) (Stats,
 		rbud.ctxErr = g.ctx.Err
 	}
 	emitted := 0
-	mn := newMiner(g.m, g.p, g.kern, rbud)
+	mn := newMiner(g.m, g.p, g.set, rbud)
 	mn.sink = func(b *Bicluster, _ int) bool {
 		emitted++
 		if !deliver || emitted <= skip {

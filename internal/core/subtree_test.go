@@ -46,7 +46,7 @@ func mineAllSubtrees(t *testing.T, m *matrix.Matrix, p Params) []*SubtreePartial
 
 // mineSubtree mines one level-1 subtree in isolation into a partial, as a
 // distributed worker ships it.
-func mineSubtree(ctx context.Context, m *matrix.Matrix, p Params, cond int, models []*rwave.Model) (*SubtreePartial, error) {
+func mineSubtree(ctx context.Context, m *matrix.Matrix, p Params, cond int, models *rwave.Set) (*SubtreePartial, error) {
 	part := &SubtreePartial{Cond: cond}
 	stats, err := MineSubtreeFunc(ctx, m, p, cond, models, func(sc SubtreeCluster) bool {
 		part.Clusters = append(part.Clusters, sc)
@@ -62,7 +62,7 @@ func mineSubtree(ctx context.Context, m *matrix.Matrix, p Params, cond int, mode
 // mergePartials folds a full set of subtree partials (one per condition, any
 // order) through a SubtreeMerger into a Result; a missing partial is an
 // error.
-func mergePartials(m *matrix.Matrix, p Params, models []*rwave.Model, partials []*SubtreePartial) (*Result, error) {
+func mergePartials(m *matrix.Matrix, p Params, models *rwave.Set, partials []*SubtreePartial) (*Result, error) {
 	res := &Result{}
 	g, err := NewSubtreeMerger(context.Background(), m, p, models, func(b *Bicluster) bool {
 		res.Clusters = append(res.Clusters, b)
@@ -317,7 +317,7 @@ func TestSubtreeOrderMatchesEngineDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := subtreeOrder(m, p, rwave.Kernels(models))
+	want := subtreeOrder(m, p, models)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("exported order %v != engine order %v", got, want)
 	}

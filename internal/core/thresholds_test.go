@@ -92,5 +92,5 @@ func TestRWaveGuardsRejectNaN(t *testing.T) {
 	}
 	mustPanic("rwave.Build", func() { rwave.Build(m, 0, math.NaN()) })
 	mustPanic("rwave.BuildAbsolute", func() { rwave.BuildAbsolute(m, 0, math.NaN()) })
-	mustPanic("rwave.BuildAll", func() { rwave.BuildAll(m, math.NaN()) })
+	mustPanic("rwave.BuildSet", func() { rwave.BuildSet(m, func(int) float64 { return math.NaN() }, nil, nil) })
 }

@@ -15,6 +15,7 @@ import (
 	"regcluster/internal/faultinject"
 	"regcluster/internal/matrix"
 	"regcluster/internal/obs"
+	"regcluster/internal/rwave"
 )
 
 // DatasetSource resolves a content hash to a matrix for replication. The
@@ -81,7 +82,7 @@ type run struct {
 	dataset string
 	m       *matrix.Matrix
 	p       core.Params
-	models  []*core.RWaveModel
+	models  *rwave.Set
 	ctx     context.Context
 	span    *obs.Span
 
@@ -189,7 +190,7 @@ type MineRequest struct {
 	Matrix    *matrix.Matrix // the dataset (coordinator-side copy)
 	DatasetID string         // content hash workers replicate by
 	Params    core.Params
-	Models    []*core.RWaveModel    // optional prebuilt RWave models
+	Models    *rwave.Set            // optional prebuilt RWave model set
 	Resume    *core.Checkpoint      // optional resume position
 	Ck        core.CheckpointConfig // checkpoint emission, as Options.Checkpoint of core.MineWith
 	Span      *obs.Span             // optional trace parent
@@ -279,7 +280,7 @@ func (c *Coordinator) Mine(ctx context.Context, req MineRequest, visit core.Visi
 	return merger.Result()
 }
 
-func (c *Coordinator) startRun(ctx context.Context, req MineRequest, models []*core.RWaveModel, start int, order []int) *run {
+func (c *Coordinator) startRun(ctx context.Context, req MineRequest, models *rwave.Set, start int, order []int) *run {
 	queue := make([]int, 0, len(order))
 	for _, cond := range order {
 		if cond >= start {

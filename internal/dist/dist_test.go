@@ -353,6 +353,61 @@ func TestWorkerRejectsCorruptReplica(t *testing.T) {
 	}
 }
 
+// A worker keeps only its workerCacheSize most recent replicas and model
+// sets: fed more datasets than that, a lease of a recent dataset fetches
+// nothing, and a lease of an evicted one fetches it again.
+func TestWorkerCachesKeepRecentDatasets(t *testing.T) {
+	p := core.Params{MinG: 4, MinC: 3, Gamma: 0.08, Epsilon: 0.05}
+	src := mapSource{}
+	ids := make([]string, workerCacheSize+2)
+	for i := range ids {
+		m, _, err := synthetic.Generate(synthetic.Config{Genes: 30, Conds: 5, Clusters: 2, Seed: int64(100 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = m.Hash()
+		src[ids[i]] = m
+	}
+	c := NewCoordinator(Config{LeaseTTL: time.Second, Datasets: src, Logf: t.Logf})
+	mux := http.NewServeMux()
+	c.Routes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	w := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "bounded", Logf: t.Logf})
+	defer runWorkers(w)()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	mine := func(id string) {
+		t.Helper()
+		if _, err := c.Mine(ctx, MineRequest{
+			Job: "job-" + id[:8], Matrix: src[id], DatasetID: id, Params: p, LocalWorkers: -1,
+		}, func(*core.Bicluster) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		mine(id)
+	}
+	if got := w.Replicated.Load(); got != int64(len(ids)) {
+		t.Fatalf("replicated %d datasets, want %d", got, len(ids))
+	}
+	w.mu.Lock()
+	kept, built := len(w.datasets), len(w.models)
+	w.mu.Unlock()
+	if kept != workerCacheSize || built != workerCacheSize {
+		t.Fatalf("worker keeps %d replicas and %d model sets, want %d of each", kept, built, workerCacheSize)
+	}
+	mine(ids[len(ids)-1])
+	if got := w.Replicated.Load(); got != int64(len(ids)) {
+		t.Fatalf("a recent dataset was fetched again: %d replications", got)
+	}
+	mine(ids[0])
+	if got := w.Replicated.Load(); got != int64(len(ids))+1 {
+		t.Fatalf("an evicted dataset was not fetched again: %d replications, want %d", got, len(ids)+1)
+	}
+}
+
 // Distributed runs resume from engine checkpoints like local ones: a run cut
 // by a visitor stop hands back a checkpoint, and a fresh distributed run
 // resumed from it delivers exactly the missing suffix.

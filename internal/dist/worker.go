@@ -16,6 +16,7 @@ import (
 	"regcluster/internal/core"
 	"regcluster/internal/faultinject"
 	"regcluster/internal/matrix"
+	"regcluster/internal/rwave"
 )
 
 // WorkerConfig tunes a worker agent.
@@ -43,8 +44,8 @@ type Worker struct {
 	mu       sync.Mutex
 	id       string
 	hb       time.Duration
-	datasets map[string]*matrix.Matrix
-	models   map[string][]*core.RWaveModel
+	datasets recent[*matrix.Matrix] // verified replicas by content hash
+	models   recent[*rwave.Set]     // model sets by core.ModelKey
 
 	// Lifetime counters, exported for tests and diagnostics.
 	Completed  atomic.Int64 // subtrees mined to a successful final heartbeat
@@ -55,12 +56,7 @@ type Worker struct {
 
 // NewWorker builds a worker agent from cfg.
 func NewWorker(cfg WorkerConfig) *Worker {
-	w := &Worker{
-		cfg:      cfg,
-		client:   cfg.Client,
-		datasets: make(map[string]*matrix.Matrix),
-		models:   make(map[string][]*core.RWaveModel),
-	}
+	w := &Worker{cfg: cfg, client: cfg.Client}
 	if w.client == nil {
 		w.client = &http.Client{}
 	}
@@ -298,11 +294,11 @@ func (w *Worker) nack(ctx context.Context, lease *Lease, cause error) {
 // the body is decoded — a worker never mines data it cannot verify.
 func (w *Worker) replica(ctx context.Context, id string) (*matrix.Matrix, error) {
 	w.mu.Lock()
-	if m := w.datasets[id]; m != nil {
-		w.mu.Unlock()
+	m, ok := w.datasets.get(id)
+	w.mu.Unlock()
+	if ok {
 		return m, nil
 	}
-	w.mu.Unlock()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.cfg.Coordinator+"/dist/datasets/"+id, nil)
 	if err != nil {
 		return nil, err
@@ -323,34 +319,77 @@ func (w *Worker) replica(ctx context.Context, id string) (*matrix.Matrix, error)
 		return nil, fmt.Errorf("dist: replica hash %s does not match advertised %s; refusing corrupt data",
 			shortHash(got), shortHash(id))
 	}
-	m, err := matrix.DecodeCanonical(body)
+	m, err = matrix.DecodeCanonical(body)
 	if err != nil {
 		return nil, fmt.Errorf("dist: replica %s: %w", shortHash(id), err)
 	}
 	w.mu.Lock()
-	w.datasets[id] = m
+	w.datasets.put(id, m)
 	w.mu.Unlock()
 	w.Replicated.Add(1)
 	w.logf("dist: replicated dataset %s (%dx%d)", shortHash(id), m.Rows(), m.Cols())
 	return m, nil
 }
 
-func (w *Worker) modelsFor(mat *matrix.Matrix, lease *Lease) ([]*core.RWaveModel, error) {
+func (w *Worker) modelsFor(mat *matrix.Matrix, lease *Lease) (*rwave.Set, error) {
 	key := core.ModelKey(lease.Dataset, lease.Params)
 	w.mu.Lock()
-	if ms := w.models[key]; ms != nil {
-		w.mu.Unlock()
+	ms, ok := w.models.get(key)
+	w.mu.Unlock()
+	if ok {
 		return ms, nil
 	}
-	w.mu.Unlock()
 	ms, err := core.BuildModels(mat, lease.Params, nil)
 	if err != nil {
 		return nil, err
 	}
 	w.mu.Lock()
-	w.models[key] = ms
+	w.models.put(key, ms)
 	w.mu.Unlock()
 	return ms, nil
+}
+
+// workerCacheSize bounds each of a worker's caches — replicas and model
+// sets — to its most recently used entries. A worker mines the leases of a
+// few runs at a time, so a handful keeps every run in flight resident, and a
+// long-lived worker holds no more than that. An evicted dataset is fetched
+// and verified again on its next lease.
+const workerCacheSize = 4
+
+// recent is a most-recently-used cache of at most workerCacheSize entries,
+// most recent first. It is not safe for concurrent use.
+type recent[V any] []recentEntry[V]
+
+type recentEntry[V any] struct {
+	key string
+	val V
+}
+
+// get returns key's value and makes it the most recent entry.
+func (r *recent[V]) get(key string) (V, bool) {
+	for i, e := range *r {
+		if e.key == key {
+			copy((*r)[1:i+1], (*r)[:i])
+			(*r)[0] = e
+			return e.val, true
+		}
+	}
+	var zero V
+	return zero, false
+}
+
+// put stores val under key as the most recent entry, dropping the least
+// recent one when the cache is full.
+func (r *recent[V]) put(key string, val V) {
+	if _, ok := r.get(key); ok {
+		(*r)[0].val = val
+		return
+	}
+	if len(*r) < workerCacheSize {
+		*r = append(*r, recentEntry[V]{})
+	}
+	copy((*r)[1:], (*r)[:len(*r)-1])
+	(*r)[0] = recentEntry[V]{key, val}
 }
 
 func shortHash(id string) string {

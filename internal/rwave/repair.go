@@ -1,7 +1,7 @@
 package rwave
 
 import (
-	"sort"
+	"slices"
 
 	"regcluster/internal/matrix"
 )
@@ -13,13 +13,14 @@ import (
 // model rebuild — the O(n log n) stable sort of the full row — is avoidable:
 // the old sorted order is a sorted run already, and the k new entries form a
 // second sorted run whose condition indices are all larger than any old one.
-// A stable two-run merge therefore reproduces sort.SliceStable's output
-// exactly (stability breaks value ties by original position, and the
-// original position order is "all old conditions, then the new ones in index
-// order"), after which the pointer, frontier and chain-length passes are the
-// same O(n) scans a cold build runs. Repair is O(n + k log k) instead of
-// O(n log n), and its output is byte-identical to BuildAbsolute on the grown
-// row — the property TestRepairMatchesBuild and FuzzRepair pin.
+// A stable two-run merge therefore reproduces the full sort's output exactly
+// (stability breaks value ties by original position, and the original
+// position order is "all old conditions, then the new ones in index order"),
+// after which the frontier and chain-length passes are the same O(n) scans a
+// cold build runs. A repair is O(n + k log k) instead of O(n log n), and its
+// output is byte-identical to a cold build of the grown row — the property
+// TestRepairMatchesBuild and FuzzRepair pin. BuildSet repairs a whole set
+// from its parent set; Repair is the same fill for one gene.
 
 // Repair builds the model for gene of m by splicing the appended conditions
 // of m (those at index >= old.Conditions()) into old's sorted order. The fast
@@ -27,60 +28,49 @@ import (
 // under the same absolute threshold: same gene, same γ bit pattern, a prefix
 // of identical values, and at least one appended condition. Any mismatch —
 // including a γ drift from a relative-gamma row whose range grew — falls back
-// to a cold BuildAbsolute. The second return reports whether the fast path
-// ran; either way the returned model is correct for (m, gene, gammaAbs).
+// to a cold build. The second return reports whether the fast path ran;
+// either way the returned model is correct for (m, gene, gammaAbs).
 func Repair(old *Model, m *matrix.Matrix, gene int, gammaAbs float64) (*Model, bool) {
-	if old == nil || !repairable(old, m, gene, gammaAbs) {
-		return BuildAbsolute(m, gene, gammaAbs), false
+	mod := newModel(m.Cols())
+	var b builder
+	return mod, b.fill(mod, m, gene, gammaAbs, old)
+}
+
+// spliceOrder writes into order the stable merge of old's sorted order with
+// the conditions row appends to it (index >= old.Conditions()), sorted by
+// value in the builder's reusable buffer.
+func (b *builder) spliceOrder(order []int, old *Model, row []float64) {
+	oldN := len(old.order)
+	fresh := slices.Grow(b.fresh[:0], len(row)-oldN)
+	for c := oldN; c < len(row); c++ {
+		fresh = append(fresh, c)
 	}
-	oldN, n := old.Conditions(), m.Cols()
-	row := m.Row(gene)
+	slices.SortStableFunc(fresh, byValue(row))
+	b.fresh = fresh
 
-	// Sort the appended conditions by value; sort.SliceStable keeps equal
-	// values in ascending index order, matching a cold build's tie-break.
-	fresh := make([]int, n-oldN)
-	for i := range fresh {
-		fresh[i] = oldN + i
-	}
-	sort.SliceStable(fresh, func(a, b int) bool { return row[fresh[a]] < row[fresh[b]] })
-
-	mod := &Model{gene: gene, gamma: gammaAbs}
-	mod.bindStripes(make([]int, slabIntStripes*n), make([]float64, slabFloatStripes*n), n)
-
-	// Stable merge of the two sorted runs: every old condition precedes every
-	// new one in original position, so on a value tie the old run wins.
+	// Every old condition precedes every new one in original position, so
+	// on a value tie the old run wins.
 	oi, fi := 0, 0
-	for r := 0; r < n; r++ {
-		switch {
-		case oi < oldN && (fi == len(fresh) || !(row[fresh[fi]] < old.values[oi])):
-			mod.order[r] = old.order[oi]
+	for r := range order {
+		if oi < oldN && (fi == len(fresh) || !(row[fresh[fi]] < old.values[oi])) {
+			order[r] = old.order[oi]
 			oi++
-		default:
-			mod.order[r] = fresh[fi]
+		} else {
+			order[r] = fresh[fi]
 			fi++
 		}
 	}
-	for r, c := range mod.order {
-		mod.rank[c] = r
-		mod.values[r] = row[c]
-		mod.valueByCond[c] = row[c]
-	}
-	mod.buildPointers()
-	mod.buildFrontiers()
-	mod.buildChainLengths()
-	return mod, true
 }
 
-// repairable reports whether the merge fast path of Repair is sound for
-// (old, m, gene, gammaAbs). The prefix scan is exact float equality, so a
-// NaN anywhere in the prefix (which never compares equal) also forces the
-// cold build — Repair never has to reason about NaN ordering.
-func repairable(old *Model, m *matrix.Matrix, gene int, gammaAbs float64) bool {
+// repairable reports whether the merge fast path is sound for old and the
+// grown row of gene under gammaAbs. The prefix scan is exact float equality,
+// so a NaN anywhere in the prefix (which never compares equal) also forces
+// the cold build — the merge never has to reason about NaN ordering.
+func repairable(old *Model, row []float64, gene int, gammaAbs float64) bool {
 	oldN := old.Conditions()
-	if old.gene != gene || old.gamma != gammaAbs || m.Cols() <= oldN {
+	if old.gene != gene || old.gamma != gammaAbs || len(row) <= oldN {
 		return false
 	}
-	row := m.Row(gene)
 	for c := 0; c < oldN; c++ {
 		if old.valueByCond[c] != row[c] {
 			return false

@@ -46,8 +46,8 @@ func grownRow(row, extra []float64) (base, grown *matrix.Matrix) {
 
 // TestRepairMatchesBuild is the differential property test: across random
 // rows, random appended suffixes (duplicates and ties included) and a range
-// of absolute thresholds, Repair's fast path must produce a model identical
-// in every field to a cold BuildAbsolute of the grown row.
+// of absolute thresholds, a set repaired from its parent set must hold a
+// model identical in every field to a cold build of the grown row.
 func TestRepairMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -60,33 +60,30 @@ func TestRepairMatchesBuild(t *testing.T) {
 		}
 		gamma := float64(rng.Intn(4)) // 0 included: strict-inequality edge
 		base, grown := grownRow(vals[:oldN], vals[oldN:])
-		old := BuildAbsolute(base, 0, gamma)
-		repaired, fast := Repair(old, grown, 0, gamma)
-		if !fast {
+		repaired, fast := BuildSet(grown, absolute(gamma), setOf(base, absolute(gamma)), nil)
+		if fast != 1 {
 			t.Fatalf("trial %d: fast path refused (oldN=%d k=%d γ=%v)", trial, oldN, k, gamma)
 		}
-		cold := BuildAbsolute(grown, 0, gamma)
-		if !modelsIdentical(repaired, cold) {
+		cold := setOf(grown, absolute(gamma))
+		if !modelsIdentical(repaired.Model(0), cold.Model(0)) {
 			t.Fatalf("trial %d: repaired model differs from cold build\nrepaired: %v\ncold:     %v",
-				trial, repaired, cold)
+				trial, repaired.Model(0), cold.Model(0))
 		}
 	}
 }
 
-// TestRepairPackedModelSource: the fast path must also work when the old
-// model lives in a packed slab (the form the service's model cache holds).
-func TestRepairPackedModelSource(t *testing.T) {
+// TestRepairFromParentSet repairs every gene of a multi-gene set from its
+// parent set, the form the service's model cache holds.
+func TestRepairFromParentSet(t *testing.T) {
 	base := matrix.FromRows([][]float64{{1, 5, 3, 9}, {2, 2, 8, 4}})
 	grown := matrix.FromRows([][]float64{{1, 5, 3, 9, 4, 0}, {2, 2, 8, 4, 6, 2}})
-	models := []*Model{BuildAbsolute(base, 0, 2), BuildAbsolute(base, 1, 2)}
-	PackModels(models)
-	for g, old := range models {
-		repaired, fast := Repair(old, grown, g, 2)
-		if !fast {
-			t.Fatalf("gene %d: fast path refused for packed source", g)
-		}
-		if cold := BuildAbsolute(grown, g, 2); !modelsIdentical(repaired, cold) {
-			t.Fatalf("gene %d: packed-source repair differs from cold build", g)
+	repaired, fast := BuildSet(grown, absolute(2), setOf(base, absolute(2)), nil)
+	if fast != 2 {
+		t.Fatalf("%d of 2 genes took the fast path", fast)
+	}
+	for g := 0; g < 2; g++ {
+		if cold := BuildAbsolute(grown, g, 2); !modelsIdentical(repaired.Model(g), cold) {
+			t.Fatalf("gene %d: repaired model differs from cold build", g)
 		}
 	}
 }
@@ -95,7 +92,7 @@ func TestRepairPackedModelSource(t *testing.T) {
 // (fast == false) and still return the correct model for the grown row.
 func TestRepairFallbacks(t *testing.T) {
 	base, grown := grownRow([]float64{3, 1, 4, 1}, []float64{5, 9})
-	old := BuildAbsolute(base, 0, 1)
+	old := setOf(base, absolute(1)).Model(0)
 	cases := []struct {
 		name  string
 		old   *Model
@@ -121,14 +118,11 @@ func TestRepairFallbacks(t *testing.T) {
 }
 
 // TestRepairNaNPrefixFallsBack: a NaN in the shared prefix never compares
-// equal, so Repair must refuse the merge and rebuild cold.
+// equal, so the repair must refuse the merge and rebuild cold.
 func TestRepairNaNPrefixFallsBack(t *testing.T) {
 	base := matrix.FromRows([][]float64{{1, math.NaN(), 3}})
-	old := &Model{gene: 0, gamma: 1}
-	old.bindStripes(make([]int, slabIntStripes*3), make([]float64, slabFloatStripes*3), 3)
-	copy(old.valueByCond, base.Row(0))
 	grown := matrix.FromRows([][]float64{{1, math.NaN(), 3, 4}})
-	if _, fast := Repair(old, grown, 0, 1); fast {
+	if _, fast := BuildSet(grown, absolute(1), setOf(base, absolute(1)), nil); fast != 0 {
 		t.Fatal("fast path ran over a NaN prefix")
 	}
 }

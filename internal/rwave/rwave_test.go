@@ -64,8 +64,9 @@ func TestRunningExamplePointers(t *testing.T) {
 		{1, []Pointer{{1, 2}, {3, 4}, {4, 5}, {5, 6}}}, // g2
 		{2, []Pointer{{1, 2}, {3, 4}, {5, 6}, {6, 9}}}, // g3
 	}
+	set := setOf(m, relative(m, 0.15))
 	for _, tc := range cases {
-		mod := Build(m, tc.gene, 0.15)
+		mod := set.Model(tc.gene)
 		if got := mod.Pointers(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("g%d pointers = %v, want %v\nmodel: %s", tc.gene+1, got, tc.want, mod)
 		}
@@ -197,7 +198,7 @@ func TestMaxChainLengthsAgainstBruteForce(t *testing.T) {
 			m.Set(0, j, float64(rng.Intn(8)))
 		}
 		gamma := []float64{0, 1, 1.5}[rng.Intn(3)]
-		mod := BuildAbsolute(m, 0, gamma)
+		mod := setOf(m, absolute(gamma)).Model(0)
 		for c := 0; c < n; c++ {
 			want := bruteMaxUpChain(m, 0, c, gamma)
 			if got := mod.MaxUpChainFrom(c); got != want {
@@ -220,8 +221,8 @@ func TestDownChainMirrorsUpChain(t *testing.T) {
 			neg.Set(0, j, -v)
 		}
 		gamma := rng.Float64() * 3
-		mod := BuildAbsolute(m, 0, gamma)
-		negMod := BuildAbsolute(neg, 0, gamma)
+		mod := setOf(m, absolute(gamma)).Model(0)
+		negMod := setOf(neg, absolute(gamma)).Model(0)
 		for c := 0; c < n; c++ {
 			if mod.MaxDownChainFrom(c) != negMod.MaxUpChainFrom(c) {
 				t.Fatalf("down/up mirror mismatch at c%d", c)
@@ -244,7 +245,7 @@ func TestPointerInvariants(t *testing.T) {
 		}
 		m := matrix.FromRows([][]float64{vals})
 		gamma := float64(gseed%100) / 100 // relative γ in [0, 0.99]
-		mod := Build(m, 0, gamma)
+		mod := setOf(m, relative(m, gamma)).Model(0)
 		ps := mod.Pointers()
 		for i, p := range ps {
 			if p.A >= p.B {
@@ -275,7 +276,7 @@ func TestPointerInvariants(t *testing.T) {
 
 func TestConstantRowHasNoPointers(t *testing.T) {
 	m := matrix.FromRows([][]float64{{5, 5, 5, 5}})
-	mod := Build(m, 0, 0.5)
+	mod := setOf(m, relative(m, 0.5)).Model(0)
 	if len(mod.Pointers()) != 0 {
 		t.Fatalf("constant row pointers: %v", mod.Pointers())
 	}
@@ -320,21 +321,18 @@ func TestBuildValidation(t *testing.T) {
 		}()
 		BuildAbsolute(m, 0, -1)
 	}()
-}
-
-func TestBuildAll(t *testing.T) {
-	m := paperdata.RunningExample()
-	models := BuildAll(m, 0.15)
-	if len(models) != 3 {
-		t.Fatalf("BuildAll returned %d models", len(models))
-	}
-	for g, mod := range models {
-		if mod.Gene() != g {
-			t.Errorf("model %d reports gene %d", g, mod.Gene())
-		}
-		if mod.Conditions() != 10 {
-			t.Errorf("model %d has %d conditions", g, mod.Conditions())
-		}
+	// A NaN threshold panics in a set build too, on the calling goroutine
+	// whether one worker builds the set or several do.
+	big := randomMatrix(rand.New(rand.NewSource(80)), 2*buildParallelMinGenes, 4)
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a set build with NaN gamma on %d workers did not panic", workers)
+				}
+			}()
+			buildSet(big, absolute(math.NaN()), nil, nil, workers)
+		}()
 	}
 }
 

@@ -17,18 +17,13 @@ package rwave
 //     starting at c has at least L conditions — pruning (2)'s bound for every
 //     MinC at once, so one model set serves a whole parameter sweep.
 //
-// Tables depend only on the models, never on mining parameters. PackModels
-// builds them in the same pass that packs the slab, so every packed set —
-// and every cache that shares one — carries its tables. A set that was never
-// packed gets tables built by Kernels for the views it returns.
+// Tables depend only on the models, never on mining parameters. BuildSet
+// writes them in one pass once every gene is built, so every set — and every
+// cache that shares one — carries its tables.
 
-// tableHeader is the number of leading words of a table backing that record
-// its dimensions: genes, conditions and MaxLen.
-const tableHeader = 3
-
-// Tables is the decoded view of one model set's condition-pair tables. The
-// zero value describes an empty set. Rows are Words() words long; bits past
-// the last gene are always zero.
+// Tables holds the condition-pair tables of one model set. The zero value
+// describes an empty set. Rows are Words() words long; bits past the last
+// gene are always zero.
 type Tables struct {
 	genes, conds, words, maxLen int
 	up, upLen, downLen          []uint64
@@ -67,34 +62,26 @@ func (t *Tables) lenRow(rows []uint64, c, l int) []uint64 {
 	return rows[o : o+t.words : o+t.words]
 }
 
-// tableSize returns the backing length of the tables of a genes × conds set
-// whose longest chain is maxLen: the header, the conds² Up bitsets and the
-// 2·conds·maxLen chain-length rows.
-func tableSize(genes, conds, maxLen int) int {
+// newTables returns the zeroed tables of a genes × conds set whose longest
+// chain is maxLen, in one allocation: the conds² Up bitsets, then the
+// conds·maxLen UpLen and DownLen rows.
+func newTables(genes, conds, maxLen int) Tables {
 	words := (genes + 63) / 64
-	return tableHeader + (conds*conds+2*conds*maxLen)*words
-}
-
-// decodeTables views a backing written by writeTables.
-func decodeTables(b []uint64) Tables {
-	if len(b) < tableHeader {
-		return Tables{}
+	nUp, nLen := conds*conds*words, conds*maxLen*words
+	b := make([]uint64, nUp+2*nLen)
+	return Tables{
+		genes: genes, conds: conds, words: words, maxLen: maxLen,
+		up:      b[:nUp:nUp],
+		upLen:   b[nUp : nUp+nLen : nUp+nLen],
+		downLen: b[nUp+nLen:],
 	}
-	t := Tables{genes: int(b[0]), conds: int(b[1]), maxLen: int(b[2])}
-	t.words = (t.genes + 63) / 64
-	rest := b[tableHeader:]
-	nUp := t.conds * t.conds * t.words
-	nLen := t.conds * t.maxLen * t.words
-	t.up = rest[:nUp:nUp]
-	t.upLen = rest[nUp : nUp+nLen : nUp+nLen]
-	t.downLen = rest[nUp+nLen : nUp+2*nLen : nUp+2*nLen]
-	return t
 }
 
 // longestChain returns the longest upward or downward chain of any model.
-func longestChain(models []*Model) int {
+func longestChain(models []Model) int {
 	best := 0
-	for _, mod := range models {
+	for g := range models {
+		mod := &models[g]
 		for r := range mod.upLen {
 			best = max(best, mod.upLen[r], mod.downLen[r])
 		}
@@ -102,16 +89,14 @@ func longestChain(models []*Model) int {
 	return best
 }
 
-// writeTables fills a zeroed backing of tableSize(len(models), conds,
-// maxLen) words with the tables of models, bit g standing for models[g].
+// writeTables returns the tables of models, bit g standing for models[g].
 //
 // The chain-length rows are filled at the exact length first (one bit per
 // gene and condition), then suffix-OR-ed down from MaxLen, which turns
 // "exactly L" into "at least L" with one word operation per row word.
-func writeTables(b []uint64, models []*Model, conds, maxLen int) {
-	genes := len(models)
-	b[0], b[1], b[2] = uint64(genes), uint64(conds), uint64(maxLen)
-	t := decodeTables(b)
+func writeTables(models []Model, conds int) Tables {
+	genes, maxLen := len(models), longestChain(models)
+	t := newTables(genes, conds, maxLen)
 	dense := genes / 64
 	if genes%64 >= sparseBlock {
 		dense++
@@ -120,13 +105,14 @@ func writeTables(b []uint64, models []*Model, conds, maxLen int) {
 		writeUpDense(&t, models, dense)
 	}
 	for g := 64 * dense; g < genes; g++ {
-		writeUpGene(&t, g, models[g])
+		writeUpGene(&t, g, &models[g])
 	}
 	if maxLen == 0 {
-		return
+		return t
 	}
 	words := t.words
-	for g, mod := range models {
+	for g := range models {
+		mod := &models[g]
 		w, bit := g>>6, uint64(1)<<(uint(g)&63)
 		for c, r := range mod.rank {
 			o := c*maxLen - 1
@@ -143,6 +129,7 @@ func writeTables(b []uint64, models []*Model, conds, maxLen int) {
 			t.downLen[o] |= t.downLen[o+words]
 		}
 	}
+	return t
 }
 
 // sparseBlock is the gene count below which the last, partly filled block
@@ -159,14 +146,15 @@ const sparseBlock = 16
 // into the words Up(a, ·) stores. Conditions are taken 64 at a time on both
 // axes, so the 32 KiB tile lives on the stack whatever the condition count,
 // and the build allocates nothing.
-func writeUpDense(t *Tables, models []*Model, blocks int) {
+func writeUpDense(t *Tables, models []Model, blocks int) {
 	conds, words := t.conds, t.words
 	var tile [64][64]uint64 // [a - aLo][gene - 64·w]: successor mask over b in [bLo, bLo+64)
 	for w := 0; w < blocks; w++ {
 		lo, n := 64*w, min(64, len(models)-64*w)
 		for aLo := 0; aLo < conds; aLo += 64 {
 			for bLo := 0; bLo < conds; bLo += 64 {
-				for j, mod := range models[lo : lo+n] {
+				for j := 0; j < n; j++ {
+					mod := &models[lo+j]
 					successorMasks(&tile, j, mod.order, mod.succStart, aLo, bLo)
 				}
 				for ai := 0; ai < min(64, conds-aLo); ai++ {
@@ -236,44 +224,4 @@ func transposeRound(m *[64]uint64, s uint, mask uint64) {
 		m[i&63] ^= x << s
 		m[(i+s)&63] ^= x
 	}
-}
-
-// packIn reports whether the views all carry the tables one PackModels or
-// Kernels call built for exactly this sequence of models.
-func packIn(kern []Kernel) bool {
-	if len(kern) == 0 {
-		return false
-	}
-	first := kern[0].tables
-	if len(first) < tableHeader || first[0] != uint64(len(kern)) || first[1] != uint64(len(kern[0].Rank)) {
-		return false
-	}
-	for g := range kern {
-		k := &kern[g]
-		if k.slot != g || len(k.tables) != len(first) || &k.tables[0] != &first[0] {
-			return false
-		}
-	}
-	return true
-}
-
-// buildTables allocates and fills the tables of a model set that PackModels
-// did not pack as a whole, leaving the models untouched.
-func buildTables(models []*Model) []uint64 {
-	conds, maxLen := models[0].Conditions(), longestChain(models)
-	b := make([]uint64, tableSize(len(models), conds, maxLen))
-	writeTables(b, models, conds, maxLen)
-	return b
-}
-
-// TablesOf returns the condition-pair tables the views carry. The views
-// must come from one Kernels call; any other slice of views is a bug.
-func TablesOf(kern []Kernel) Tables {
-	if len(kern) == 0 {
-		return Tables{}
-	}
-	if !packIn(kern) {
-		panic("rwave: kernel views without their set's tables (use Kernels)")
-	}
-	return decodeTables(kern[0].tables)
 }

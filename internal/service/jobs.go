@@ -15,6 +15,7 @@ import (
 	"regcluster/internal/faultinject"
 	"regcluster/internal/obs"
 	"regcluster/internal/report"
+	"regcluster/internal/rwave"
 )
 
 // JobStatus is the lifecycle state of a mining job.
@@ -671,7 +672,7 @@ func (m *jobManager) mine(ctx context.Context, j *Job) (core.Stats, error) {
 		EveryClusters: m.ckEvery,
 		OnCheckpoint:  func(c core.Checkpoint) { m.noteCheckpoint(j, c) },
 	}
-	var models []*core.RWaveModel
+	var models *rwave.Set
 	if m.models != nil {
 		// One RWave build per (dataset, γ-scheme), shared across every job
 		// and retry that agrees on the ModelKey. Passing the job's Observer
@@ -681,7 +682,7 @@ func (m *jobManager) mine(ctx context.Context, j *Job) (core.Stats, error) {
 		// builds by repairing the parent's cached models where that set is
 		// still resident — same key, same output, less work.
 		var err error
-		models, err = m.models.getOrBuild(core.ModelKey(j.Dataset.ID, j.Params), func() ([]*core.RWaveModel, error) {
+		models, err = m.models.getOrBuild(core.ModelKey(j.Dataset.ID, j.Params), func() (*rwave.Set, error) {
 			if d := j.Dataset.Delta; d != nil && d.Axis == DeltaAxisConditions {
 				if old, ok := m.models.peek(core.ModelKey(d.Parent, j.Params)); ok {
 					ms, repaired, err := core.RepairModels(mat, j.Params, old, &j.obs)

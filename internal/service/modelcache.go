@@ -38,7 +38,7 @@ type modelCache struct {
 
 type modelItem struct {
 	key    string
-	models []*rwave.Model
+	models *rwave.Set
 }
 
 // modelBuild is one in-flight construction; waiters block on done and then
@@ -46,7 +46,7 @@ type modelItem struct {
 // the reads safe).
 type modelBuild struct {
 	done   chan struct{}
-	models []*rwave.Model
+	models *rwave.Set
 	err    error
 }
 
@@ -67,7 +67,7 @@ func newModelCache(maxEntries int, metrics *Metrics) *modelCache {
 // once across all concurrent callers. A failed or panicking build is
 // propagated to every waiter as an error and cached nowhere, so a later
 // caller retries.
-func (c *modelCache) getOrBuild(key string, build func() ([]*rwave.Model, error)) ([]*rwave.Model, error) {
+func (c *modelCache) getOrBuild(key string, build func() (*rwave.Set, error)) (*rwave.Set, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
@@ -125,7 +125,7 @@ func (c *modelCache) getOrBuild(key string, build func() ([]*rwave.Model, error)
 // in-flight build, or touching the hit/miss counters — the "misses == distinct
 // γ groups built" invariant is unaffected by peeks. A found entry is still
 // promoted: a peek that enables a model repair is a use worth retaining.
-func (c *modelCache) peek(key string) ([]*rwave.Model, bool) {
+func (c *modelCache) peek(key string) (*rwave.Set, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]

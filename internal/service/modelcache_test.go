@@ -27,13 +27,13 @@ func TestModelCacheSingleFlight(t *testing.T) {
 	builds := 0
 	started := make(chan struct{})
 	release := make(chan struct{})
-	want := []*rwave.Model{nil, nil} // identity is what matters, not contents
+	want := new(rwave.Set) // identity is what matters, not contents
 
 	var wg sync.WaitGroup
-	results := make([][]*rwave.Model, waiters+1)
+	results := make([]*rwave.Set, waiters+1)
 	launch := func(i int) {
 		defer wg.Done()
-		got, err := c.getOrBuild("k", func() ([]*rwave.Model, error) {
+		got, err := c.getOrBuild("k", func() (*rwave.Set, error) {
 			builds++
 			close(started)
 			<-release
@@ -63,15 +63,15 @@ func TestModelCacheSingleFlight(t *testing.T) {
 		t.Fatalf("%d builds, want 1", builds)
 	}
 	for i, got := range results {
-		if len(got) != len(want) {
-			t.Fatalf("goroutine %d got %d models", i, len(got))
+		if got != want {
+			t.Fatalf("goroutine %d got another model set", i)
 		}
 	}
 	if h, m := mt.ModelCacheHits.Load(), mt.ModelCacheMisses.Load(); h != waiters || m != 1 {
 		t.Fatalf("hits=%d misses=%d, want %d/1", h, m, waiters)
 	}
 	// A follow-up lookup is a retained-entry hit, no build.
-	if _, err := c.getOrBuild("k", func() ([]*rwave.Model, error) {
+	if _, err := c.getOrBuild("k", func() (*rwave.Set, error) {
 		t.Fatal("rebuilt a retained entry")
 		return nil, nil
 	}); err != nil {
@@ -91,8 +91,8 @@ func TestModelCacheEviction(t *testing.T) {
 	c.onEvict = func(key string) { evicted = append(evicted, key) }
 
 	put := func(key string) {
-		if _, err := c.getOrBuild(key, func() ([]*rwave.Model, error) {
-			return []*rwave.Model{}, nil
+		if _, err := c.getOrBuild(key, func() (*rwave.Set, error) {
+			return new(rwave.Set), nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestModelCacheEviction(t *testing.T) {
 		t.Fatalf("len %d", c.len())
 	}
 	// a survived its promotion; a fresh build for it would be a bug.
-	if _, err := c.getOrBuild("a", func() ([]*rwave.Model, error) {
+	if _, err := c.getOrBuild("a", func() (*rwave.Set, error) {
 		t.Fatal("a was evicted despite promotion")
 		return nil, nil
 	}); err != nil {
@@ -122,7 +122,7 @@ func TestModelCacheEviction(t *testing.T) {
 	d := newModelCache(0, NewMetrics())
 	put2 := 0
 	for i := 0; i < 2; i++ {
-		d.getOrBuild("x", func() ([]*rwave.Model, error) { put2++; return nil, nil })
+		d.getOrBuild("x", func() (*rwave.Set, error) { put2++; return nil, nil })
 	}
 	if put2 != 2 || d.len() != 0 {
 		t.Fatalf("disabled cache: %d builds, len %d", put2, d.len())
@@ -135,17 +135,17 @@ func TestModelCacheEviction(t *testing.T) {
 func TestModelCacheErrorNotCached(t *testing.T) {
 	c := newModelCache(4, NewMetrics())
 	boom := errors.New("boom")
-	if _, err := c.getOrBuild("k", func() ([]*rwave.Model, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.getOrBuild("k", func() (*rwave.Set, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err %v", err)
 	}
-	if _, err := c.getOrBuild("p", func() ([]*rwave.Model, error) { panic("kaboom") }); err == nil {
+	if _, err := c.getOrBuild("p", func() (*rwave.Set, error) { panic("kaboom") }); err == nil {
 		t.Fatal("panicking build did not surface an error")
 	}
 	if c.len() != 0 {
 		t.Fatalf("failed builds retained: len %d", c.len())
 	}
 	ok := false
-	if _, err := c.getOrBuild("k", func() ([]*rwave.Model, error) { ok = true; return nil, nil }); err != nil || !ok {
+	if _, err := c.getOrBuild("k", func() (*rwave.Set, error) { ok = true; return nil, nil }); err != nil || !ok {
 		t.Fatalf("retry after failure: err=%v ok=%v", err, ok)
 	}
 }

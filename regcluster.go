@@ -36,6 +36,7 @@ import (
 	"regcluster/internal/eval"
 	"regcluster/internal/matrix"
 	"regcluster/internal/report"
+	"regcluster/internal/rwave"
 	"regcluster/internal/service"
 	"regcluster/internal/significance"
 	"regcluster/internal/synthetic"
@@ -106,10 +107,10 @@ func MineWith(ctx context.Context, m *Matrix, p Params, o MineOptions) (*Result,
 // negative counts are always valid: they select GOMAXPROCS.
 func ValidateWorkers(workers, max int) error { return core.ValidateWorkers(workers, max) }
 
-// RWaveModel is one gene's prebuilt RWave^γ index (Section 3). A model set —
-// one per gene, from BuildModels — is immutable and safe to share across
-// concurrent mining runs.
-type RWaveModel = core.RWaveModel
+// ModelSet is a matrix's prebuilt RWave^γ index (Section 3): the model of
+// every gene and the condition-pair tables, from BuildModels. It is
+// immutable and safe to share across concurrent mining runs.
+type ModelSet = rwave.Set
 
 // BuildModels constructs the RWave model set Mine would build internally. The
 // index depends only on the matrix and the γ-scheme (Gamma/AbsoluteGamma or
@@ -118,7 +119,7 @@ type RWaveModel = core.RWaveModel
 // MineOptions.Models. A
 // non-nil Observer with an attached span records the construction; pass nil
 // otherwise.
-func BuildModels(m *Matrix, p Params, o *Observer) ([]*RWaveModel, error) {
+func BuildModels(m *Matrix, p Params, o *Observer) (*ModelSet, error) {
 	return core.BuildModels(m, p, o)
 }
 
@@ -147,8 +148,8 @@ func AppendGenes(base, delta *Matrix) (*Matrix, error) {
 // to BuildModels(child, p, o); the int reports how many genes took the
 // splice fast path (the rest rebuilt — e.g. on a per-gene threshold that
 // drifted with the grown value range).
-func RepairModels(child *Matrix, p Params, parentModels []*RWaveModel, o *Observer) ([]*RWaveModel, int, error) {
-	return core.RepairModels(child, p, parentModels, o)
+func RepairModels(child *Matrix, p Params, parent *ModelSet, o *Observer) (*ModelSet, int, error) {
+	return core.RepairModels(child, p, parent, o)
 }
 
 // MineParent is a settled run MineWith may reuse through

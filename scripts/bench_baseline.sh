@@ -40,8 +40,7 @@ if [ ${#SPECS[@]} -eq 0 ]; then
         'BenchmarkTable2TermFinder$@20x' # E5: GO term finder
         'BenchmarkRunningExample$@100x' # E6: Table 1 walk-through
         'BenchmarkPruningAblation$@1x'  # E8: pruning ablation
-        'BenchmarkRWaveBuild$@5x'       # index construction phase
-        'BenchmarkBuildModels$@20x'     # the index a run builds: models, pack, tables
+        'BenchmarkBuildModels$@20x'     # the index every run builds: models and tables, 600 and 5000 genes
         'BenchmarkSweepSharedModel$@3x' # ε-sweep with/without the shared model set
         'BenchmarkOverlapStats$@5x'     # Section 5.2 overlap statistic
         'BenchmarkIncrementalRemine$@3x' # E13: incremental vs cold re-mine

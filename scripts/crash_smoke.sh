@@ -51,7 +51,7 @@ note "SIGKILL at $clusters clusters"
 start_server "$workdir/recover.log" -jobs 1 -workers 1 -data-dir "$workdir/datadir"
 recovered=$(job_field "$job" recovered)
 [[ "$recovered" == true ]] || fail "job not marked recovered after restart"
-curl -sf "$base/metrics" | grep -q '^regserver_recoveries_total 1$' \
+[[ "$(metric regserver_recoveries_total)" == 1 ]] \
     || fail "recoveries_total metric missing"
 wait_done "$job" 600
 curl -sf "$base/jobs/$job/result" >"$workdir/recovered.json"
