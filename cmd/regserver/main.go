@@ -33,8 +33,9 @@
 //	GET    /metrics, /healthz, /debug/pprof/*
 //
 // Distributed mode (see internal/dist): `-mode coordinator` serves the same
-// API but splits every job into per-condition subtree leases that remote
-// workers claim over HTTP; `-mode worker -join URL` turns the process into
+// API, and every job shares its queue of per-condition subtrees with remote
+// workers, which lease them over HTTP beside the job's -local-workers local
+// ones; `-mode worker -join URL` turns the process into
 // such a worker — it replicates datasets by content hash, mines leased
 // subtrees, and ships clusters back in heartbeats. A worker killed mid-lease
 // costs one lease TTL: the coordinator re-issues the subtree from the last
@@ -108,7 +109,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		join        = fs.String("join", "", "coordinator base URL a worker registers with (worker mode only)")
 		advertise   = fs.String("advertise", "", "name this worker reports to the coordinator (default: the hostname)")
 		leaseTTL    = fs.Duration("lease-ttl", 5*time.Second, "coordinator lease TTL: a lease without a heartbeat for this long is revoked and re-issued")
-		localLoops  = fs.Int("local-workers", 1, "in-process mining loops each coordinator job runs alongside remote workers (0 = remote workers only)")
+		localMiners = fs.Int("local-workers", 1, "local mining workers each coordinator job runs beside remote workers (0 = remote workers only)")
 		slots       = fs.Int("slots", 0, "subtree leases a worker mines concurrently (0 = all cores)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -126,9 +127,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *join != "" {
 		return fmt.Errorf("-join only applies to -mode worker (got -mode %s)", *mode)
 	}
-	// The service treats DistLocalWorkers 0 as "default one loop"; the flag's
+	// The service treats DistLocalWorkers 0 as "default one worker"; the flag's
 	// 0 means "none" (pure remote mining), which the service spells negative.
-	distLocal := *localLoops
+	distLocal := *localMiners
 	if distLocal <= 0 {
 		distLocal = -1
 	}

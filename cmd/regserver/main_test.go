@@ -182,7 +182,7 @@ func startProc(t *testing.T, ctx context.Context, args ...string) (string, *line
 	return "", nil, nil
 }
 
-// TestDistributedLifecycle boots a coordinator with no local mining loops and
+// TestDistributedLifecycle boots a coordinator with no local workers and
 // two worker processes (all via run(), the real CLI entry point), mines the
 // Table 1 job through them, checks the worker-side probe, and shuts everything
 // down cleanly.

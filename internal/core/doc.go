@@ -86,11 +86,12 @@
 // distributes level-1 subtrees over a worker pool through a largest-first
 // work queue and returns output identical to Mine's — clusters and Stats,
 // truncated runs included — or streams the same deterministic sequence to
-// Options.Visit through per-subtree reordering buffers. SubtreeMerger
-// (subtree.go) is the one place that reassembles subtrees into that
-// sequence: it enforces the caps against the settled prefix and reconciles
-// truncated runs exactly, for the in-process pool and distributed workers
-// alike. Params.CustomGammas plugs in the alternative per-gene regulation
+// Options.Visit through per-subtree reordering buffers. Options.Share opens
+// that queue to a distributed coordinator, whose remote workers fill the
+// buffers of the roots they lease. SubtreeMerger (subtree.go) is the one
+// place that reassembles subtrees into that sequence: it enforces the caps
+// against the settled prefix and reconciles truncated runs exactly, for
+// local and remote producers alike. Params.CustomGammas plugs in the alternative per-gene regulation
 // thresholds Section 3.1 mentions (thresholds.go). CheckBicluster validates
 // any cluster against Definition 3.2 directly from the raw matrix,
 // independent of the index and search.

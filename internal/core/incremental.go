@@ -23,7 +23,8 @@ import (
 // and isolated Stats both, so the parent's cached output can be spliced in
 // unmined. MineWith exploits this when Options.Parent is set: planSplice
 // turns every clean subtree into a recorded SubtreePartial, the parallel
-// engine mines only the dirty roots, and the SubtreeMerger folds both kinds
+// engine mines only the dirty roots (locally, or through a shared queue's
+// remote workers), and the SubtreeMerger folds both kinds
 // exactly as it folds a cold run's subtrees — so the output is byte-identical
 // to a cold mine of the grown matrix (the property
 // TestDifferentialIncrementalVsCold pins).

@@ -53,8 +53,9 @@ type Visitor func(b *Bicluster) bool
 type Options struct {
 	// Workers is the size of the worker pool: <= 0 selects GOMAXPROCS, and
 	// counts above the number of conditions are clamped to it. With 1 and
-	// no Resume, Checkpoint or splice from Parent, the sequential miner runs
-	// on the calling goroutine.
+	// no Resume, Checkpoint, splice from Parent or Share, the sequential
+	// miner runs on the calling goroutine. With Share set, a negative count
+	// runs no local worker: the queue's taker mines every root.
 	Workers int
 	// Visit, when set, receives the clusters on the calling goroutine, in
 	// Mine's order, instead of Result.Clusters; returning false stops every
@@ -80,6 +81,12 @@ type Options struct {
 	// a cold mine's. Result.Incremental reports the split, or why the run
 	// mined cold instead.
 	Parent *Parent
+	// Share, when set, opens the run's queue of level-1 roots to a caller
+	// that mines some of them elsewhere, such as a distributed coordinator
+	// leasing them to remote workers (see SubtreeQueue). MineWith calls it
+	// once, before the first root is dispatched, and calls the function it
+	// returns once the run has ended.
+	Share func(q *SubtreeQueue) (unshare func())
 }
 
 // Mine discovers all reg-clusters of m under p (Definition 3.2), returning
@@ -109,7 +116,10 @@ func MineWith(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Resu
 		return nil, err
 	}
 	workers := o.Workers
-	if workers <= 0 {
+	switch {
+	case workers < 0 && o.Share != nil:
+		workers = 0
+	case workers <= 0:
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, m.Cols())
@@ -120,7 +130,7 @@ func MineWith(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Resu
 		spliced, info = planSplice(m, p, set, o.Parent)
 		res.Incremental = &info
 	}
-	if workers <= 1 && o.Resume == nil && !o.Checkpoint.enabled() && spliced == nil {
+	if workers <= 1 && o.Share == nil && o.Resume == nil && !o.Checkpoint.enabled() && spliced == nil {
 		mn, err := mineSequential(ctx, m, p, set, o.Visit, o.Observer, sp)
 		if err != nil {
 			return nil, err
@@ -146,7 +156,10 @@ func MineWith(ctx context.Context, m *matrix.Matrix, p Params, o Options) (*Resu
 			defer sp.End()
 		}
 	}
-	if res.Stats, res.Subtrees, err = mineParallel(ctx, m, p, set, max(workers, 1), visit, o, sp, spliced); err != nil {
+	if o.Share == nil {
+		workers = max(workers, 1)
+	}
+	if res.Stats, res.Subtrees, err = mineParallel(ctx, m, p, set, workers, visit, o, sp, spliced); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -131,14 +131,15 @@ func TestWithModelsRejectsBadInputs(t *testing.T) {
 				t.Errorf("%s: accepted at %d workers", tc.name, workers)
 			}
 		}
-		if _, err := SubtreeOrder(tc.m, tc.p, set); err == nil {
-			t.Errorf("%s: accepted by SubtreeOrder", tc.name)
+		shared := Options{Workers: -1, Models: set, Share: func(*SubtreeQueue) func() {
+			t.Errorf("%s: queue shared before the set was checked", tc.name)
+			return func() {}
+		}}
+		if _, err := MineWith(context.Background(), tc.m, tc.p, shared); err == nil {
+			t.Errorf("%s: accepted with a shared queue", tc.name)
 		}
 		if _, err := MineSubtreeFunc(context.Background(), tc.m, tc.p, 0, set, func(SubtreeCluster) bool { return true }); err == nil {
 			t.Errorf("%s: accepted by MineSubtreeFunc", tc.name)
-		}
-		if _, err := NewSubtreeMerger(context.Background(), tc.m, tc.p, set, func(*Bicluster) bool { return true }, nil, CheckpointConfig{}); err == nil {
-			t.Errorf("%s: accepted by NewSubtreeMerger", tc.name)
 		}
 	}
 }

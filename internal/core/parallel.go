@@ -14,28 +14,32 @@ import (
 
 // The in-process parallel engine. Level-1 subtrees (starting conditions) are
 // independent — a representative chain lives entirely in the subtree of its
-// first condition — so a worker pool mines them through a work queue,
+// first condition — so they are mined through one queue of roots,
 // largest-estimated-subtree first to keep the (highly skewed) load balanced,
 // each into its own reordering buffer. The caller's goroutine drains the
 // buffers in starting-condition order into a SubtreeMerger, which alone
 // decides what the run returns: the output is therefore Mine's — clusters,
 // order and Stats, truncated runs included — for any worker count.
 //
-// The engine keeps what the merger cannot do: the pool, the budget shared by
-// every worker (it stops capped runs early; the merger then reconciles the
-// exact sequential stop point), panic containment, and subtree spans.
+// The engine keeps what the merger cannot do: the queue and its local worker
+// pool, the budget shared by every worker (it stops capped runs early; the
+// merger then reconciles the exact sequential stop point), panic
+// containment, and subtree spans.
 //
-// An incremental run (Options.Parent) is the same run with some buffers
-// filled before it starts: each clean subtree's buffer holds the parent's
-// recorded partial, finished, and only the dirty roots are queued. The
-// merger cannot tell the two kinds apart, so a visitor stop inside a
-// spliced subtree settles exactly as it would on a cold run.
+// A buffer can also be filled from outside the pool, through one step,
+// deliver: an incremental run (Options.Parent) delivers each clean
+// subtree's recorded partial before it starts and queues only the dirty
+// roots, and a caller the queue is shared with (Options.Share) delivers the
+// clusters of the roots it takes as its remote workers ship them. The merger
+// cannot tell the kinds apart, so a visitor stop inside a spliced or remote
+// subtree settles exactly as it would on a cold local run.
 
-// mineParallel runs the engine for MineWith: workers >= 1 goroutines over
-// the run's shared model set. spliced, when non-nil, holds a recorded
-// partial for every subtree that is not to be mined (nil entries are
-// mined). It returns the run's Stats and, for a run that covered every
-// subtree from condition 0 untruncated, each subtree's isolated Stats.
+// mineParallel runs the engine for MineWith: workers local goroutines (none
+// is allowed only when o.Share takes the roots instead) over the run's
+// shared model set. spliced, when non-nil, holds a recorded partial for
+// every subtree that is not to be mined (nil entries are mined). It returns
+// the run's Stats and, for a run that covered every subtree from condition
+// 0 untruncated, each subtree's isolated Stats.
 func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Set, workers int, visit Visitor, o Options, sp *obs.Span, spliced []*SubtreePartial) (Stats, []Stats, error) {
 	g, err := newMerger(ctx, m, p, set, visit, o.Resume, o.Checkpoint)
 	if err != nil {
@@ -46,7 +50,7 @@ func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Se
 		return g.result()
 	}
 	e := &engine{m: m, p: p, set: set, bud: newBudget(p, ctx), obs: o.Observer, sp: sp,
-		subs: make([]*subtree, m.Cols())}
+		subs: make([]*subtree, m.Cols()), abort: make(chan struct{})}
 	if r := o.Resume; r != nil {
 		// Pre-charge the shared budget with the settled prefix so MaxNodes/
 		// MaxClusters keep bounding the RUN, not the continuation.
@@ -62,31 +66,44 @@ func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Se
 	}
 	for _, part := range spliced {
 		if part != nil {
-			e.splice(part)
+			e.deliver(part.Cond, len(part.Clusters), part.Clusters, &part.Stats)
 		}
 	}
-	queue := make(chan int)
-	for w := 0; w < workers; w++ {
-		e.wg.Add(1)
-		go e.worker(queue)
+	// Earlier subtrees settled before the resume snapshot; spliced ones are
+	// already finished.
+	e.q = &SubtreeQueue{e: e, taken: make([]bool, m.Cols()), shared: o.Share != nil, wake: make(chan struct{}, 1)}
+	for _, c := range subtreeOrder(m, p, set) {
+		if c >= g.next && (spliced == nil || spliced[c] == nil) {
+			e.q.roots = append(e.q.roots, c)
+		}
 	}
-	// The feeder hands out one root at a time, so a worker between subtrees
-	// blocks and the emitter gets a CPU to deliver clusters. A pre-filled
-	// buffered queue never blocks them: at 2 workers on 2 CPUs it delayed
-	// the first cluster of a 600×30 mine from about 4 to 6.6 ms.
-	start := g.next
-	go func() {
-		for _, c := range subtreeOrder(m, p, set) {
-			// Earlier subtrees settled before the resume snapshot; spliced
-			// ones are already finished.
-			if c >= start && (spliced == nil || spliced[c] == nil) {
-				queue <- c
+	var unshare func()
+	if o.Share != nil {
+		unshare = o.Share(e.q)
+	}
+	if workers > 0 {
+		// The feeder hands out one root at a time, so a worker between
+		// subtrees blocks and the emitter gets a CPU to deliver clusters. A
+		// pre-filled buffered queue never blocks them: at 2 workers on 2
+		// CPUs it delayed the first cluster of a 600×30 mine from about 4 to
+		// 6.6 ms.
+		feed := make(chan int)
+		for w := 0; w < workers; w++ {
+			e.wg.Add(1)
+			go e.worker(feed)
+		}
+		go func() {
+			for c, ok := e.q.next(); ok; c, ok = e.q.next() {
+				feed <- c
 			}
-		}
-		close(queue)
-	}()
+			close(feed)
+		}()
+	}
 	err = e.emit(g)
 	e.stopWorkers()
+	if unshare != nil {
+		unshare()
+	}
 	if err != nil {
 		return Stats{}, nil, err
 	}
@@ -94,8 +111,9 @@ func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Se
 }
 
 // engine runs one parallel mining session: a worker pool mining level-1
-// subtrees against a shared budget, and an emitter (the calling goroutine,
-// see emit) that feeds their reordering buffers to the run's merger.
+// subtrees from the run's queue against a shared budget, and an emitter (the
+// calling goroutine, see emit) that feeds their reordering buffers to the
+// run's merger.
 type engine struct {
 	m    *matrix.Matrix
 	p    Params
@@ -104,17 +122,20 @@ type engine struct {
 	obs  *Observer
 	sp   *obs.Span // optional trace parent for subtree spans; nil = off
 	subs []*subtree
+	q    *SubtreeQueue
 	wg   sync.WaitGroup
 
-	// First worker panic of the run, recovered on the worker goroutine and
-	// returned as the run's error.
-	panicMu  sync.Mutex
-	panicErr *PanicError
+	// First error that ends the run whatever the merger settles: a worker
+	// panic, recovered on the worker goroutine, or a taker's Fail. abort
+	// closes with it, so an emitter waiting on a remote subtree wakes.
+	errMu sync.Mutex
+	err   error
+	abort chan struct{}
 }
 
-func (e *engine) worker(queue <-chan int) {
+func (e *engine) worker(feed <-chan int) {
 	defer e.wg.Done()
-	for c := range queue {
+	for c := range feed {
 		e.mineSubtree(c)
 	}
 }
@@ -127,7 +148,7 @@ func (e *engine) mineSubtree(c int) {
 	sub := e.subs[c]
 	defer func() {
 		if r := recover(); r != nil {
-			e.notePanic(r)
+			e.fail(&PanicError{Value: r, Stack: debug.Stack()})
 			sub.finish(Stats{}, false)
 		}
 	}()
@@ -139,6 +160,17 @@ func (e *engine) mineSubtree(c int) {
 	ssp := e.sp.Start("subtree")
 	mn := newMiner(e.m, e.p, e.set, e.bud)
 	mn.sink = sub.push
+	if skip := sub.buffered(); skip > 0 {
+		// A root a taker put back: its buffer already holds the first skip
+		// clusters, which this run suppresses as a merger rerun does.
+		mn.sink = func(b *Bicluster, node int) bool {
+			if skip > 0 {
+				skip--
+				return true
+			}
+			return sub.push(b, node)
+		}
+	}
 	mn.obs = e.obs
 	mn.runFrom(c)
 	if ssp != nil {
@@ -156,52 +188,60 @@ func (e *engine) mineSubtree(c int) {
 	sub.finish(mn.stats, !mn.stop)
 }
 
-// splice fills a subtree's buffer with a recorded partial and finishes it,
-// crediting the partial's work to the live counters as if it had just been
-// mined, so an uninterrupted run still ends with them equal to its Stats.
-func (e *engine) splice(part *SubtreePartial) {
-	sub := e.subs[part.Cond]
-	sub.items = part.Clusters
-	sub.finish(part.Stats, true)
-	if e.obs != nil {
-		e.obs.nodes.Add(int64(part.Stats.Nodes))
-		e.obs.clusters.Add(int64(part.Stats.Clusters))
+// deliver appends a batch mined outside the worker pool to subtree c's
+// buffer — a recorded partial of a parent run, or a taker's shipment — and
+// finishes the subtree when final carries its isolated Stats. watermark is
+// the buffered count the batch must bring the buffer to, so a batch that
+// does not extend it exactly is refused. The work is credited to the live
+// counters as if it had just been mined here, so an uninterrupted run still
+// ends with them equal to its Stats.
+func (e *engine) deliver(c, watermark int, batch []SubtreeCluster, final *Stats) bool {
+	if !e.subs[c].extend(watermark, batch, final) {
+		return false
 	}
+	if e.obs != nil {
+		e.obs.clusters.Add(int64(len(batch)))
+		if final != nil {
+			e.obs.nodes.Add(int64(final.Nodes))
+		}
+	}
+	return true
 }
 
-// notePanic records the first worker panic (with the panicking goroutine's
-// stack) and cancels the whole run.
-func (e *engine) notePanic(r any) {
-	e.panicMu.Lock()
-	if e.panicErr == nil {
-		e.panicErr = &PanicError{Value: r, Stack: debug.Stack()}
+// fail records the first error that ends the run and stops every miner.
+func (e *engine) fail(err error) {
+	e.errMu.Lock()
+	if e.err == nil {
+		e.err = err
+		close(e.abort)
 	}
-	e.panicMu.Unlock()
+	e.errMu.Unlock()
 	e.bud.cancel()
 }
 
 // failure returns the error that ends the run regardless of what the merger
-// settled: the context interrupting mining, or a contained worker panic.
+// settled: the context interrupting mining, or the one fail recorded.
 func (e *engine) failure() error {
 	if err := e.bud.contextErr(); err != nil {
 		return err
 	}
-	e.panicMu.Lock()
-	defer e.panicMu.Unlock()
-	if e.panicErr != nil {
-		return e.panicErr
-	}
-	return nil
+	e.errMu.Lock()
+	defer e.errMu.Unlock()
+	return e.err
 }
 
+// stopWorkers ends the local mining: the budget stops the workers at their
+// next node, the queue hands out nothing more, and the call returns once
+// every worker has.
 func (e *engine) stopWorkers() {
 	e.bud.cancel()
+	e.q.close()
 	e.wg.Wait()
 }
 
 // emit hands the merger, in starting-condition order, each buffered cluster
-// of the head subtree as soon as its worker finds it, then the finished
-// subtree. Workers fill the buffers in an arbitrary, schedule-dependent
+// of the head subtree as soon as its producer finds it, then the finished
+// subtree. Producers fill the buffers in an arbitrary, schedule-dependent
 // interleaving; only the merger's accounting decides what the run returns.
 // The error is the engine's own failure (see failure); the merger's outcome
 // is read from it afterwards.
@@ -219,7 +259,9 @@ func (e *engine) emit(g *SubtreeMerger) error {
 				}
 			}
 			if !closed && !g.done {
-				sub.wait()
+				if err := e.wait(sub); err != nil {
+					return err
+				}
 			}
 		}
 		if g.done {
@@ -234,15 +276,148 @@ func (e *engine) emit(g *SubtreeMerger) error {
 	return nil
 }
 
-// subtree is the reordering buffer of one level-1 subtree: the mining worker
-// pushes clusters as it finds them, each tagged with its subtree-local node
-// ordinal, and the in-order emitter drains the buffer once every earlier
-// subtree has been settled.
+// wait blocks until sub's producer has pushed or finished since the last
+// take, or the run fails: a worker panic, a taker's Fail, or the context
+// ending. A local worker always finishes its subtree; the other two matter
+// when a remote taker holds the head.
+func (e *engine) wait(sub *subtree) error {
+	select {
+	case <-sub.note:
+		return nil
+	case <-e.abort:
+	case <-e.bud.done:
+		e.bud.stopped() // records the context's interruption
+	}
+	return e.failure()
+}
+
+// SubtreeQueue is a parallel run's queue of level-1 roots still to mine, in
+// dispatch order. The engine's feeder hands them to the local workers one at
+// a time; Options.Share opens the queue to a caller that mines roots
+// elsewhere, as a distributed coordinator does through its remote workers.
+// Such a taker streams the clusters of each root it takes into the run's
+// buffer for that root, where the merger reads them exactly as it reads a
+// local worker's. The methods are safe for concurrent use; a taker stops
+// calling them once the run has called the function Share returned.
+type SubtreeQueue struct {
+	e      *engine
+	mu     sync.Mutex
+	roots  []int         // queued roots, next first
+	taken  []bool        // roots held by a taker through Take
+	shared bool          // a taker may put roots back after the queue empties
+	closed bool          // the run is stopping: nothing more is handed out
+	wake   chan struct{} // capacity 1: a root came back, or the queue closed
+}
+
+// Take removes the next queued root and returns it with the number of its
+// clusters already buffered, which the taker must not deliver again. ok is
+// false when no root is queued.
+func (q *SubtreeQueue) Take() (cond, buffered int, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if cond, ok = q.pop(); !ok {
+		return 0, 0, false
+	}
+	q.taken[cond] = true
+	return cond, q.e.subs[cond].buffered(), true
+}
+
+// Append adds a batch of the taken root cond's clusters, in its DFS order,
+// and reports whether it was accepted. watermark is the number buffered
+// once the batch is, so a batch that does not extend what is buffered
+// exactly — replayed, reordered, or from a confused taker — is refused. The
+// last batch carries final, the subtree's isolated Stats from
+// MineSubtreeFunc, and hands the root back to the run; an incomplete final
+// (Truncated) is refused.
+func (q *SubtreeQueue) Append(cond, watermark int, batch []SubtreeCluster, final *Stats) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if cond < 0 || cond >= len(q.taken) || !q.taken[cond] || (final != nil && final.Truncated) {
+		return false
+	}
+	if !q.e.deliver(cond, watermark, batch, final) {
+		return false
+	}
+	q.taken[cond] = final == nil
+	return true
+}
+
+// Requeue puts the taken root cond back at the front of the queue; what its
+// buffer holds stays, and its next taker starts after it. Once the run is
+// stopping the root finishes incomplete instead, and the merger re-mines
+// its remainder if it still needs it.
+func (q *SubtreeQueue) Requeue(cond int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if cond < 0 || cond >= len(q.taken) || !q.taken[cond] {
+		return
+	}
+	q.taken[cond] = false
+	if q.closed {
+		q.e.subs[cond].finish(Stats{}, false)
+		return
+	}
+	q.roots = append([]int{cond}, q.roots...)
+	q.signal()
+}
+
+// Fail ends the run with err: MineWith returns it.
+func (q *SubtreeQueue) Fail(err error) { q.e.fail(err) }
+
+// next pops the root the feeder hands to a local worker. It waits while a
+// shared queue is empty, since a taker may still put a root back; false
+// means no root will come.
+func (q *SubtreeQueue) next() (int, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.roots) == 0 && q.shared && !q.closed {
+		q.mu.Unlock()
+		<-q.wake
+		q.mu.Lock()
+	}
+	return q.pop()
+}
+
+// pop removes the next queued root; the caller holds q.mu.
+func (q *SubtreeQueue) pop() (int, bool) {
+	if len(q.roots) == 0 {
+		return 0, false
+	}
+	c := q.roots[0]
+	q.roots = q.roots[1:]
+	return c, true
+}
+
+// close stops the hand-out: every root still queued finishes incomplete, so
+// the merger re-mines it when its turn comes, as does a root put back later.
+func (q *SubtreeQueue) close() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closed = true
+	for _, c := range q.roots {
+		q.e.subs[c].finish(Stats{}, false)
+	}
+	q.roots = nil
+	q.signal()
+}
+
+func (q *SubtreeQueue) signal() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// subtree is the reordering buffer of one level-1 subtree: its producer — a
+// local worker, or a delivery from outside the pool — adds clusters as they
+// are found, each tagged with its subtree-local node ordinal, and the
+// in-order emitter drains the buffer once every earlier subtree has been
+// settled.
 type subtree struct {
 	mu       sync.Mutex
 	items    []SubtreeCluster
 	stats    Stats
-	complete bool          // runFrom finished without interruption
+	complete bool          // the producer mined the subtree to its end
 	closed   bool          // no more pushes will arrive
 	note     chan struct{} // capacity-1 wakeup for the emitter
 }
@@ -258,6 +433,31 @@ func (s *subtree) push(b *Bicluster, node int) bool {
 	s.mu.Unlock()
 	s.wake()
 	return true
+}
+
+// extend appends a batch delivered from outside the worker pool when it
+// brings the buffer to exactly watermark clusters, finishing the subtree
+// complete when final is set (see engine.deliver).
+func (s *subtree) extend(watermark int, batch []SubtreeCluster, final *Stats) bool {
+	s.mu.Lock()
+	if s.closed || len(s.items)+len(batch) != watermark {
+		s.mu.Unlock()
+		return false
+	}
+	s.items = append(s.items, batch...)
+	if final != nil {
+		s.stats, s.complete, s.closed = *final, true, true
+	}
+	s.mu.Unlock()
+	s.wake()
+	return true
+}
+
+// buffered returns the number of clusters the buffer holds.
+func (s *subtree) buffered() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.items)
 }
 
 func (s *subtree) finish(stats Stats, complete bool) {
@@ -279,15 +479,12 @@ func (s *subtree) wake() {
 // take returns the buffered clusters from index `from` on, plus the closed
 // flag. Close happens under the same lock as the final push, so a take that
 // observes closed has observed every cluster. The returned slice aliases the
-// buffer: the worker only ever appends past its end, never rewrites it.
+// buffer: the producer only ever appends past its end, never rewrites it.
 func (s *subtree) take(from int) ([]SubtreeCluster, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.items[from:], s.closed
 }
-
-// wait blocks until a push or finish has happened since the last take.
-func (s *subtree) wait() { <-s.note }
 
 func (s *subtree) final() (Stats, bool) {
 	s.mu.Lock()

@@ -268,9 +268,9 @@ func TestMineContextCancelled(t *testing.T) {
 
 // TestVisitorCancelAndStopOneOutcome: a visitor that cancels the run's
 // context and then stops must see context.Canceled from every route — the
-// sequential miner, the worker pool, and a SubtreeMerger fed subtree by
-// subtree — never a truncated result from one route and an error from
-// another.
+// sequential miner, the worker pool, and subtrees delivered from outside
+// through a shared queue — never a truncated result from one route and an
+// error from another.
 func TestVisitorCancelAndStopOneOutcome(t *testing.T) {
 	m := randomMatrix(60, 10, 1)
 	p := Params{MinG: 3, MinC: 3, Gamma: 0.05, Epsilon: 0.4}
@@ -300,30 +300,8 @@ func TestVisitorCancelAndStopOneOutcome(t *testing.T) {
 			_, err := MineWith(ctx, m, p, Options{Workers: 4, Visit: visit})
 			return err
 		}},
-		{"subtree merger", func(ctx context.Context, visit Visitor) error {
-			models, err := BuildModels(m, p, nil)
-			if err != nil {
-				return err
-			}
-			g, err := NewSubtreeMerger(ctx, m, p, models, visit, nil, CheckpointConfig{})
-			if err != nil {
-				return err
-			}
-			for c := 0; c < m.Cols() && !g.Done(); c++ {
-				part := &SubtreePartial{Cond: c}
-				st, err := MineSubtreeFunc(ctx, m, p, c, models, func(sc SubtreeCluster) bool {
-					part.Clusters = append(part.Clusters, sc)
-					return true
-				})
-				if err != nil {
-					return err
-				}
-				part.Stats = st
-				if _, err := g.Offer(part); err != nil {
-					return err
-				}
-			}
-			_, err = g.Result()
+		{"remote deliveries", func(ctx context.Context, visit Visitor) error {
+			_, _, err := mineRemote(ctx, t, m, p, Options{Visit: visit})
 			return err
 		}},
 	}

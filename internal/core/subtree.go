@@ -18,10 +18,11 @@ import (
 // exposes that unit: MineSubtreeFunc produces one subtree's clusters and
 // Stats in isolation, and SubtreeMerger reassembles subtrees into the exact
 // sequential output, enforcing the global MaxNodes/MaxClusters caps. The
-// merger is the only code that knows those rules: the in-process engine
-// (parallel.go) streams its workers' subtrees through it, and a distributed
-// coordinator offers it whole partials, so output is byte-identical to the
-// sequential miner's for any placement of subtrees across workers.
+// merger is the only code that knows those rules: the engine (parallel.go)
+// streams every subtree's buffer through it, whether a local worker, a
+// spliced parent partial or a remote taker of the shared queue filled it,
+// so output is byte-identical to the sequential miner's for any placement
+// of subtrees across workers.
 
 // SubtreeCluster is one cluster found inside a subtree, tagged with the
 // subtree-local node ordinal of its emission (the miner's Stats.Nodes at that
@@ -41,18 +42,6 @@ type SubtreePartial struct {
 	Cond     int              `json:"cond"`
 	Clusters []SubtreeCluster `json:"clusters,omitempty"`
 	Stats    Stats            `json:"stats"`
-}
-
-// SubtreeOrder returns the starting conditions in the deterministic
-// largest-estimated-subtree-first dispatch order the parallel engine uses.
-// A coordinator leasing subtrees to workers should issue them in this order
-// so the skewed tail does not land last.
-func SubtreeOrder(m *matrix.Matrix, p Params, models *rwave.Set) ([]int, error) {
-	set, err := resolveModels(m, p, models, nil)
-	if err != nil {
-		return nil, err
-	}
-	return subtreeOrder(m, p, set), nil
 }
 
 // MineSubtreeFunc mines the single level-1 subtree rooted at cond, streaming
@@ -89,9 +78,8 @@ func MineSubtreeFunc(ctx context.Context, m *matrix.Matrix, p Params, cond int, 
 }
 
 // SubtreeMerger is the one accountant of the sequential-prefix rules: it
-// reassembles level-1 subtrees — whole partials produced by MineSubtreeFunc
-// anywhere, in any order, or the in-process engine's per-cluster stream —
-// into the exact sequential mining output. Clusters are delivered in
+// reassembles the engine's per-subtree buffers, read as they fill, into the
+// exact sequential mining output. Clusters are delivered in
 // starting-condition order, DFS within a subtree; the global MaxNodes/
 // MaxClusters caps are enforced against the settled prefix using each
 // cluster's subtree-local node ordinal; a resumed run suppresses the
@@ -110,16 +98,14 @@ type SubtreeMerger struct {
 	ck    CheckpointConfig
 	sp    *obs.Span // optional trace parent for reconciliation reruns
 
-	// halt, when set, stops the producers feeding this merger before a
-	// rerun takes over their work; a non-nil return fails the run instead.
-	// The in-process engine sets it to stop its worker pool.
+	// halt stops the local producers feeding this merger before a rerun
+	// takes over their work; a non-nil return fails the run instead.
 	halt func() error
 
-	next    int                     // the head: first condition not yet folded
-	taken   int                     // clusters of the head consumed so far, suppressed ones included
-	resume  int                     // the resumed subtree; its first `skip` clusters are suppressed
-	skip    int                     // resume watermark of subtree `resume`
-	pending map[int]*SubtreePartial // offered out of order, waiting for their turn
+	next   int // the head: first condition not yet folded
+	taken  int // clusters of the head consumed so far, suppressed ones included
+	resume int // the resumed subtree; its first `skip` clusters are suppressed
+	skip   int // resume watermark of subtree `resume`
 
 	// Exact sequential accounting of the settled prefix, and the isolated
 	// Stats of each subtree folded into it, in condition order.
@@ -137,24 +123,13 @@ type SubtreeMerger struct {
 	err  error
 }
 
-// NewSubtreeMerger builds a merger over (m, p). The visitor receives clusters
-// on the Offer caller's goroutine; resume positions the merger after a prior
-// run's checkpoint (its prefix is never re-delivered), and ck emits new
-// snapshots at subtree boundaries plus every EveryClusters deliveries. ctx
-// bounds reconciliation reruns; nil means background.
-func NewSubtreeMerger(ctx context.Context, m *matrix.Matrix, p Params, models *rwave.Set, visit Visitor, resume *Checkpoint, ck CheckpointConfig) (*SubtreeMerger, error) {
-	set, err := resolveModels(m, p, models, nil)
-	if err != nil {
-		return nil, err
-	}
-	return newMerger(ctx, m, p, set, visit, resume, ck)
-}
-
-// newMerger is NewSubtreeMerger over an already resolved model set.
+// newMerger builds a merger over (m, p) and the run's resolved model set.
+// The visitor receives clusters on the emitter's goroutine; resume positions
+// the merger after a prior run's checkpoint (its prefix is never
+// re-delivered), and ck emits new snapshots at subtree boundaries plus every
+// EveryClusters deliveries. ctx bounds reconciliation reruns; nil means
+// background.
 func newMerger(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Set, visit Visitor, resume *Checkpoint, ck CheckpointConfig) (*SubtreeMerger, error) {
-	if visit == nil {
-		return nil, fmt.Errorf("core: SubtreeMerger requires a visitor")
-	}
 	g := &SubtreeMerger{ctx: ctx, m: m, p: p, set: set, visit: visit, ck: ck}
 	if resume != nil {
 		if err := resume.Validate(m.Cols()); err != nil {
@@ -175,75 +150,14 @@ func newMerger(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Set, 
 	return g, nil
 }
 
-// SetSpan attaches a trace parent: reconciliation reruns and budget trips are
-// recorded under it. Nil (the default) disables tracing at zero cost.
-func (g *SubtreeMerger) SetSpan(sp *obs.Span) { g.sp = sp }
-
-// NextCond returns the first starting condition the merger still needs; it
-// is meaningless once Done.
-func (g *SubtreeMerger) NextCond() int { return g.next }
-
-// Done reports whether the run has settled: every subtree folded, or a cap /
-// visitor stop truncated it. No further Offer calls are needed (they are
-// ignored).
-func (g *SubtreeMerger) Done() bool { return g.done }
-
-// Result returns the run's total Stats and error. Valid only once Done.
-func (g *SubtreeMerger) Result() (Stats, error) { return g.agg, g.err }
-
-// result is Result plus the isolated Stats of every subtree, which only a
-// run that folded each subtree from condition 0 without truncation has.
+// result returns the run's total Stats and error once the merger is done,
+// plus the isolated Stats of every subtree, which only a run that folded
+// each subtree from condition 0 without truncation has.
 func (g *SubtreeMerger) result() (Stats, []Stats, error) {
 	if len(g.subtrees) < g.m.Cols() {
 		return g.agg, nil, g.err
 	}
 	return g.agg, g.subtrees, g.err
-}
-
-// Offer folds one complete subtree partial. Partials may arrive in any
-// order; out-of-order ones are parked until every earlier subtree has been
-// folded, and each one's turn runs the same per-cluster path the in-process
-// engine streams through. Offer returns the merger's Done state; after a
-// truncation or error it stays done and further offers are no-ops. Offering
-// a partial for an already-folded subtree, a duplicate, or one marked
-// Truncated is an error.
-func (g *SubtreeMerger) Offer(part *SubtreePartial) (bool, error) {
-	if g.done {
-		return true, g.err
-	}
-	c := part.Cond
-	if c < g.next || c >= g.m.Cols() {
-		return g.done, fmt.Errorf("core: subtree partial for condition %d outside [%d,%d)", c, g.next, g.m.Cols())
-	}
-	if _, dup := g.pending[c]; dup {
-		return g.done, fmt.Errorf("core: duplicate subtree partial for condition %d", c)
-	}
-	if part.Stats.Truncated {
-		return g.done, fmt.Errorf("core: subtree partial for condition %d is incomplete (abandoned mid-mine)", c)
-	}
-	if g.pending == nil {
-		g.pending = make(map[int]*SubtreePartial)
-	}
-	g.pending[c] = part
-	for !g.done {
-		head, ok := g.pending[g.next]
-		if !ok {
-			break
-		}
-		delete(g.pending, g.next)
-		for _, sc := range head.Clusters {
-			if g.offerCluster(sc) {
-				break
-			}
-		}
-		if !g.done {
-			g.finishHead(head.Stats, true)
-		}
-	}
-	if g.done {
-		g.pending = nil
-	}
-	return g.done, g.err
 }
 
 // offerCluster consumes the next cluster of the head subtree, in its DFS
@@ -382,10 +296,8 @@ func (g *SubtreeMerger) truncate(c, taken, effClusterCap int) {
 // suppressed; when deliver is set the remainder streams to the visitor,
 // whose stop truncates the rerun exactly as it would the sequential miner.
 func (g *SubtreeMerger) rerun(c, skip int, deliver bool, clusterCap int) (Stats, error) {
-	if g.halt != nil {
-		if err := g.halt(); err != nil {
-			return Stats{}, err
-		}
+	if err := g.halt(); err != nil {
+		return Stats{}, err
 	}
 	rsp := g.sp.Start("rerun")
 	if rsp != nil {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -21,29 +21,6 @@ func subtreeTestMatrix(t *testing.T) (*matrix.Matrix, Params) {
 	return mm, Params{MinG: 4, MinC: 4, Gamma: 0.08, Epsilon: 0.05}
 }
 
-// mineAllSubtrees mines every level-1 subtree in isolation, in an order that
-// deliberately differs from both the condition order and the engine's
-// dispatch order, as distributed workers would.
-func mineAllSubtrees(t *testing.T, m *matrix.Matrix, p Params) []*SubtreePartial {
-	t.Helper()
-	models, err := BuildModels(m, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]*SubtreePartial, 0, m.Cols())
-	for c := m.Cols() - 1; c >= 0; c-- {
-		part, err := mineSubtree(context.Background(), m, p, c, models)
-		if err != nil {
-			t.Fatalf("subtree %d: %v", c, err)
-		}
-		if part.Stats.Truncated {
-			t.Fatalf("subtree %d: isolated mine reported truncation", c)
-		}
-		parts = append(parts, part)
-	}
-	return parts
-}
-
 // mineSubtree mines one level-1 subtree in isolation into a partial, as a
 // distributed worker ships it.
 func mineSubtree(ctx context.Context, m *matrix.Matrix, p Params, cond int, models *rwave.Set) (*SubtreePartial, error) {
@@ -59,30 +36,73 @@ func mineSubtree(ctx context.Context, m *matrix.Matrix, p Params, cond int, mode
 	return part, nil
 }
 
-// mergePartials folds a full set of subtree partials (one per condition, any
-// order) through a SubtreeMerger into a Result; a missing partial is an
-// error.
-func mergePartials(m *matrix.Matrix, p Params, models *rwave.Set, partials []*SubtreePartial) (*Result, error) {
-	res := &Result{}
-	g, err := NewSubtreeMerger(context.Background(), m, p, models, func(b *Bicluster) bool {
-		res.Clusters = append(res.Clusters, b)
-		return true
-	}, nil, CheckpointConfig{})
-	if err != nil {
-		return nil, err
+// remoteTaker is the Options.Share hook of a run with no local worker, driven
+// as a coordinator with remote workers only drives it: it takes every queued
+// root, mines each in isolation (uncapped, as a remote worker does), and
+// delivers the subtrees out of order — descending condition, so the merger's
+// head arrives last — each in two batches, the second carrying its isolated
+// Stats. It records the order it took the roots in.
+type remoteTaker struct {
+	t      *testing.T
+	m      *matrix.Matrix
+	p      Params
+	models *rwave.Set
+	taken  []int
+}
+
+func (r *remoteTaker) share(q *SubtreeQueue) func() {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.deliver(ctx, q)
+	}()
+	return func() { cancel(); <-done }
+}
+
+func (r *remoteTaker) deliver(ctx context.Context, q *SubtreeQueue) {
+	parts := make([]*SubtreePartial, r.m.Cols())
+	for c, buffered, ok := q.Take(); ok; c, buffered, ok = q.Take() {
+		if buffered != 0 {
+			r.t.Errorf("root %d taken with %d clusters already buffered", c, buffered)
+		}
+		part, err := mineSubtree(ctx, r.m, r.p, c, r.models)
+		if err != nil {
+			return // the run ended first
+		}
+		r.taken = append(r.taken, c)
+		parts[c] = part
 	}
-	for _, part := range partials {
-		if _, err := g.Offer(part); err != nil {
-			return nil, err
+	for c := len(parts) - 1; c >= 0; c-- {
+		part := parts[c]
+		if part == nil {
+			continue
+		}
+		half := len(part.Clusters) / 2
+		if !q.Append(c, half, part.Clusters[:half], nil) ||
+			!q.Append(c, len(part.Clusters), part.Clusters[half:], &part.Stats) {
+			r.t.Errorf("delivery of subtree %d refused", c)
+			return
 		}
 	}
-	if !g.Done() {
-		return nil, fmt.Errorf("missing subtree partial for condition %d", g.NextCond())
+}
+
+// mineRemote runs MineWith with o and no local worker, every root mined and
+// delivered by a remoteTaker. It returns the result and the order in which
+// the taker took the roots.
+func mineRemote(ctx context.Context, t *testing.T, m *matrix.Matrix, p Params, o Options) (*Result, []int, error) {
+	t.Helper()
+	if o.Models == nil {
+		models, err := BuildModels(m, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Models = models
 	}
-	if res.Stats, err = g.Result(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	r := &remoteTaker{t: t, m: m, p: p, models: o.Models}
+	o.Workers, o.Share = -1, r.share
+	res, err := MineWith(ctx, m, p, o)
+	return res, r.taken, err
 }
 
 func clustersEqual(t *testing.T, want, got []*Bicluster) {
@@ -97,9 +117,9 @@ func clustersEqual(t *testing.T, want, got []*Bicluster) {
 	}
 }
 
-// The tentpole guarantee: per-subtree isolated mining plus the merger equals
-// the sequential miner exactly — clusters and every Stats counter — with and
-// without global caps.
+// The tentpole guarantee: per-subtree isolated mining, delivered from outside
+// the process out of order, merges to the sequential miner's output exactly —
+// clusters and every Stats counter — with and without global caps.
 func TestMergeSubtreePartialsMatchesMine(t *testing.T) {
 	m, base := subtreeTestMatrix(t)
 	ref, err := Mine(m, base)
@@ -126,12 +146,9 @@ func TestMergeSubtreePartialsMatchesMine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Partials are mined WITHOUT caps — the merger owns global budget
-			// enforcement — so they are shared across all cap variants of the
-			// same base parameters in a real coordinator. Mine them per-case
-			// here to keep the test self-contained.
-			parts := mineAllSubtrees(t, m, p)
-			got, err := mergePartials(m, p, nil, parts)
+			// Subtrees are mined WITHOUT caps — the merger owns global budget
+			// enforcement — exactly as remote workers mine them.
+			got, _, err := mineRemote(context.Background(), t, m, p, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,38 +160,26 @@ func TestMergeSubtreePartialsMatchesMine(t *testing.T) {
 	}
 }
 
-// A merger fed out of order must still deliver in sequential order, and its
-// checkpoints must resume exactly like the engine's.
+// Remote subtrees delivered out of order must still reach the visitor in
+// sequential order, and their checkpoints must resume exactly like the
+// engine's.
 func TestSubtreeMergerResume(t *testing.T) {
 	m, p := subtreeTestMatrix(t)
-	parts := mineAllSubtrees(t, m, p)
-	byCond := make(map[int]*SubtreePartial, len(parts))
-	for _, part := range parts {
-		byCond[part.Cond] = part
-	}
 
-	// Full merged run, capturing cadence checkpoints.
+	// Full remote run, capturing cadence checkpoints.
 	var full []*Bicluster
 	var cks []Checkpoint
-	g, err := NewSubtreeMerger(nil, m, p, nil, func(b *Bicluster) bool {
-		full = append(full, b)
-		return true
-	}, nil, CheckpointConfig{EveryClusters: 7, OnCheckpoint: func(ck Checkpoint) { cks = append(cks, ck) }})
+	res, _, err := mineRemote(context.Background(), t, m, p, Options{
+		Visit: func(b *Bicluster) bool {
+			full = append(full, b)
+			return true
+		},
+		Checkpoint: CheckpointConfig{EveryClusters: 7, OnCheckpoint: func(ck Checkpoint) { cks = append(cks, ck) }},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, part := range parts { // reverse condition order: all out of order
-		if _, err := g.Offer(part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !g.Done() {
-		t.Fatalf("merger not done; next cond %d", g.NextCond())
-	}
-	fullStats, err := g.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fullStats := res.Stats
 	if len(cks) == 0 {
 		t.Fatal("no checkpoints emitted")
 	}
@@ -185,33 +190,29 @@ func TestSubtreeMergerResume(t *testing.T) {
 		t.Fatalf("checkpoint watermark %d not mid-run (of %d)", ck.Delivered(), len(full))
 	}
 	var tail []*Bicluster
-	rg, err := NewSubtreeMerger(nil, m, p, nil, func(b *Bicluster) bool {
-		tail = append(tail, b)
-		return true
-	}, &ck, CheckpointConfig{})
+	res, taken, err := mineRemote(context.Background(), t, m, p, Options{
+		Visit: func(b *Bicluster) bool {
+			tail = append(tail, b)
+			return true
+		},
+		Resume: &ck,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := ck.NextCond; c < m.Cols() && !rg.Done(); c++ {
-		if _, err := rg.Offer(byCond[c]); err != nil {
-			t.Fatal(err)
+	for _, c := range taken {
+		if c < ck.NextCond {
+			t.Errorf("resumed run queued subtree %d, settled before the checkpoint at %d", c, ck.NextCond)
 		}
 	}
-	if !rg.Done() {
-		t.Fatalf("resumed merger not done; next cond %d", rg.NextCond())
-	}
-	resumedStats, err := rg.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
 	clustersEqual(t, full[ck.Delivered():], tail)
-	if !reflect.DeepEqual(fullStats, resumedStats) {
-		t.Errorf("resumed stats: want %+v, got %+v", fullStats, resumedStats)
+	if !reflect.DeepEqual(fullStats, res.Stats) {
+		t.Errorf("resumed stats: want %+v, got %+v", fullStats, res.Stats)
 	}
 }
 
-// A visitor stop inside the merger must reproduce the sequential visitor-stop
-// truncation exactly.
+// A visitor stop inside remotely delivered subtrees must reproduce the
+// sequential visitor-stop truncation exactly.
 func TestSubtreeMergerVisitorStopMatchesMineFunc(t *testing.T) {
 	m, p := subtreeTestMatrix(t)
 	const stopAfter = 23
@@ -227,28 +228,14 @@ func TestSubtreeMergerVisitorStopMatchesMineFunc(t *testing.T) {
 		t.Fatal("sequential visitor stop did not truncate; test is vacuous")
 	}
 
-	parts := mineAllSubtrees(t, m, p)
 	var got []*Bicluster
-	g, err := NewSubtreeMerger(nil, m, p, nil, func(b *Bicluster) bool {
-		got = append(got, b)
-		return len(got) < stopAfter
-	}, nil, CheckpointConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, part := range parts {
-		done, err := g.Offer(part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
-	if !g.Done() {
-		t.Fatal("merger did not settle on visitor stop")
-	}
-	gotStats, err := g.Result()
+	gotStats, err := statsOf(func() (*Result, error) {
+		res, _, err := mineRemote(context.Background(), t, m, p, Options{Visit: func(b *Bicluster) bool {
+			got = append(got, b)
+			return len(got) < stopAfter
+		}})
+		return res, err
+	}())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,42 +245,73 @@ func TestSubtreeMergerVisitorStopMatchesMineFunc(t *testing.T) {
 	}
 }
 
+// The shared queue refuses every delivery that would corrupt a subtree, puts
+// a root back with what was buffered, and fails the run on its taker's word.
 func TestSubtreeMergerRejectsBadPartials(t *testing.T) {
 	m, p := subtreeTestMatrix(t)
 	models, err := BuildModels(m, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewSubtreeMerger(nil, m, p, models, func(*Bicluster) bool { return true }, nil, CheckpointConfig{})
-	if err != nil {
-		t.Fatal(err)
+	errMissing := errors.New("subtree never delivered")
+	share := func(q *SubtreeQueue) func() {
+		if q.Append(m.Cols(), 0, nil, &Stats{}) {
+			t.Error("out-of-range condition accepted")
+		}
+		c, _, ok := q.Take()
+		if !ok {
+			t.Fatal("nothing queued")
+		}
+		if q.Append((c+1)%m.Cols(), 0, nil, &Stats{}) {
+			t.Error("delivery for a root nobody took accepted")
+		}
+		if q.Append(c, 0, nil, &Stats{Truncated: true}) {
+			t.Error("truncated (abandoned) partial accepted")
+		}
+		// Hold roots until one has clusters enough to split.
+		var part *SubtreePartial
+		for ; ok; c, _, ok = q.Take() {
+			var err error
+			if part, err = mineSubtree(context.Background(), m, p, c, models); err != nil {
+				t.Fatal(err)
+			}
+			if len(part.Clusters) >= 2 {
+				break
+			}
+		}
+		if !ok {
+			t.Fatal("no subtree has two clusters; test is weak")
+		}
+		if q.Append(c, len(part.Clusters), part.Clusters[:1], nil) {
+			t.Error("batch with a watermark past what it carries accepted")
+		}
+		if !q.Append(c, 1, part.Clusters[:1], nil) {
+			t.Fatal("first batch refused")
+		}
+		if q.Append(c, 1, part.Clusters[:1], nil) {
+			t.Error("replayed batch accepted")
+		}
+		// Put back, the root comes out first again, with its buffered prefix.
+		q.Requeue(c)
+		if q.Append(c, 2, part.Clusters[1:2], nil) {
+			t.Error("delivery for a root put back accepted")
+		}
+		again, buffered, ok := q.Take()
+		if !ok || again != c || buffered != 1 {
+			t.Fatalf("retake: root %d with %d buffered (ok %v), want %d with 1", again, buffered, ok, c)
+		}
+		if !q.Append(c, len(part.Clusters), part.Clusters[1:], &part.Stats) {
+			t.Fatal("final batch refused")
+		}
+		if q.Append(c, len(part.Clusters), nil, &part.Stats) {
+			t.Error("duplicate final accepted for a finished subtree")
+		}
+		// A taker that cannot deliver a root fails the run explicitly.
+		q.Fail(errMissing)
+		return func() {}
 	}
-	if _, err := g.Offer(&SubtreePartial{Cond: m.Cols()}); err == nil {
-		t.Error("out-of-range condition accepted")
-	}
-	if _, err := g.Offer(&SubtreePartial{Cond: 3, Stats: Stats{Truncated: true}}); err == nil {
-		t.Error("truncated (abandoned) partial accepted")
-	}
-	if _, err := g.Offer(&SubtreePartial{Cond: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Offer(&SubtreePartial{Cond: 3}); err == nil {
-		t.Error("duplicate pending partial accepted")
-	}
-	part, err := mineSubtree(context.Background(), m, p, 0, models)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Offer(part); err != nil {
-		t.Fatal(err)
-	}
-	// Subtree 0 folded; re-offering it is now behind the merge frontier.
-	if _, err := g.Offer(&SubtreePartial{Cond: 0}); err == nil {
-		t.Error("already-folded partial accepted")
-	}
-	// A missing partial surfaces as an explicit merge error in the batch API.
-	if _, err := mergePartials(m, p, models, []*SubtreePartial{part}); err == nil {
-		t.Error("incomplete partial set merged without error")
+	if _, err := MineWith(context.Background(), m, p, Options{Workers: -1, Models: models, Share: share}); !errors.Is(err, errMissing) {
+		t.Errorf("run with an undelivered subtree: err = %v, want %v", err, errMissing)
 	}
 }
 
@@ -307,21 +325,93 @@ func TestMineSubtreeFuncCancellation(t *testing.T) {
 	}
 }
 
+// A taker of the shared queue receives the roots in the engine's dispatch
+// order, largest estimated subtree first.
 func TestSubtreeOrderMatchesEngineDispatch(t *testing.T) {
 	m, p := subtreeTestMatrix(t)
 	models, err := BuildModels(m, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SubtreeOrder(m, p, models)
+	_, got, err := mineRemote(context.Background(), t, m, p, Options{Models: models})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := subtreeOrder(m, p, models)
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("exported order %v != engine order %v", got, want)
+		t.Errorf("taken order %v != engine order %v", got, want)
 	}
 	if len(got) != m.Cols() {
 		t.Errorf("order covers %d of %d conditions", len(got), m.Cols())
+	}
+}
+
+// A root its taker put back half delivered is finished by a local worker,
+// which skips what the buffer holds, while the taker keeps mining other roots
+// beside the local workers: the run still equals Mine's.
+func TestLocalWorkerResumesPutBackRoot(t *testing.T) {
+	m, p := subtreeTestMatrix(t)
+	models, err := BuildModels(m, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Mine(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putBack := -1
+	share := func(q *SubtreeQueue) func() {
+		// Before any local dispatch: take roots until one can be split, ship
+		// half of it and put it back.
+		for c, _, ok := q.Take(); ok; c, _, ok = q.Take() {
+			part, err := mineSubtree(context.Background(), m, p, c, models)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if half := len(part.Clusters) / 2; half > 0 {
+				if !q.Append(c, half, part.Clusters[:half], nil) {
+					t.Fatalf("half of subtree %d refused", c)
+				}
+				q.Requeue(c)
+				putBack = c
+				break
+			}
+			if !q.Append(c, len(part.Clusters), part.Clusters, &part.Stats) {
+				t.Fatalf("subtree %d refused", c)
+			}
+		}
+		// Then race the local workers for the other roots; the put-back one
+		// is left to them.
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for c, _, ok := q.Take(); ok; c, _, ok = q.Take() {
+				if c == putBack {
+					q.Requeue(c)
+					return
+				}
+				part, err := mineSubtree(context.Background(), m, p, c, models)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !q.Append(c, len(part.Clusters), part.Clusters, &part.Stats) {
+					t.Errorf("subtree %d refused", c)
+					return
+				}
+			}
+		}()
+		return func() { <-done }
+	}
+	res, err := MineWith(context.Background(), m, p, Options{Workers: 2, Models: models, Share: share})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if putBack < 0 {
+		t.Fatal("no subtree had clusters to split; test is vacuous")
+	}
+	clustersEqual(t, want.Clusters, res.Clusters)
+	if !reflect.DeepEqual(want.Stats, res.Stats) || !reflect.DeepEqual(want.Subtrees, res.Subtrees) {
+		t.Errorf("stats: want %+v / %+v, got %+v / %+v", want.Stats, want.Subtrees, res.Stats, res.Subtrees)
 	}
 }

@@ -1,12 +1,13 @@
 // Package dist turns the subtree work units of internal/core into a
 // coordinator/worker protocol over HTTP.
 //
-// A coordinator splits a mining job into per-condition level-1 subtrees
-// (core.SubtreeOrder), leases them to registered workers, and folds the
-// streamed partial results through core.SubtreeMerger — the same
-// reconciliation accounting the in-process parallel engine uses — so the
-// distributed output is byte-identical to a single-node run for any number
-// or placement of workers.
+// A core.MineWith run shares its queue of level-1 subtree roots with a
+// Coordinator (core.Options.Share, Coordinator.Share). The coordinator
+// leases queued roots to registered workers and appends the clusters they
+// stream back to the run's buffers, where the run's engine merges them with
+// its local workers' through core.SubtreeMerger — so the distributed output
+// is byte-identical to a single-node run for any number or placement of
+// workers.
 //
 // The protocol is deliberately small and pull-based:
 //
@@ -20,13 +21,15 @@
 //
 // A lease names a subtree (condition index), the dataset content hash, the
 // mining Params, and a resume watermark Skip — the number of the subtree's
-// clusters the coordinator already holds from a previous holder of the same
-// unit. Workers mine the subtree uncapped (global MaxNodes/MaxClusters are
-// enforced by the coordinator's merger), suppress the first Skip clusters,
-// and ship the rest in heartbeat batches. Every heartbeat extends the lease
-// TTL; a lease whose TTL lapses is revoked and its unit re-queued with Skip
-// advanced to what was already received, so a SIGKILLed worker costs only
-// the unshipped tail of its subtree.
+// clusters the run already holds from a previous holder of the same unit.
+// Workers mine the subtree uncapped (global MaxNodes/MaxClusters are
+// enforced by the run's merger), suppress the first Skip clusters, and ship
+// the rest in heartbeat batches, which the run merges as they arrive. Every
+// heartbeat extends the lease TTL; a lease whose TTL lapses is revoked and
+// its unit put back at the front of the run's queue, where the next taker —
+// a worker or one of the run's local goroutines — resumes after what was
+// already received, so a SIGKILLed worker costs only the unshipped tail of
+// its subtree.
 package dist
 
 import (

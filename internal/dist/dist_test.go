@@ -83,9 +83,7 @@ func TestDistributedMineByteIdenticalAcrossWorkers(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	var got []*core.Bicluster
-	stats, err := c.Mine(ctx, MineRequest{
-		Job: "job-e2e", Matrix: m, DatasetID: id, Params: p, LocalWorkers: -1,
-	}, func(b *core.Bicluster) bool {
+	stats, err := mineShared(ctx, c, "job-e2e", id, m, p, core.Options{Workers: -1}, func(b *core.Bicluster) bool {
 		got = append(got, b)
 		return true
 	})
@@ -155,9 +153,7 @@ func TestDistributedMineSurvivesWorkerDeathMidLease(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	var got []*core.Bicluster
-	stats, err := c.Mine(ctx, MineRequest{
-		Job: "job-kill", Matrix: m, DatasetID: id, Params: p, LocalWorkers: -1,
-	}, func(b *core.Bicluster) bool {
+	stats, err := mineShared(ctx, c, "job-kill", id, m, p, core.Options{Workers: -1}, func(b *core.Bicluster) bool {
 		got = append(got, b)
 		return true
 	})
@@ -203,9 +199,7 @@ func TestKilledWorkerResumesFromReceivedWatermark(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		stats, mineErr = c.Mine(ctx, MineRequest{
-			Matrix: m, Params: p, Models: models, LocalWorkers: -1,
-		}, func(b *core.Bicluster) bool {
+		stats, mineErr = mineShared(ctx, c, "", "", m, p, core.Options{Workers: -1, Models: models}, func(b *core.Bicluster) bool {
 			got = append(got, b)
 			return true
 		})
@@ -220,13 +214,13 @@ func TestKilledWorkerResumesFromReceivedWatermark(t *testing.T) {
 			goto settled
 		default:
 		}
-		ls := c.take("w1", false, nil)
+		ls := c.take("w1")
 		if ls == nil {
 			time.Sleep(3 * time.Millisecond)
 			continue
 		}
 		var clusters []core.SubtreeCluster
-		stats, err := core.MineSubtreeFunc(ctx, m, p, ls.unit.cond, models, func(sc core.SubtreeCluster) bool {
+		stats, err := core.MineSubtreeFunc(ctx, m, p, ls.cond, models, func(sc core.SubtreeCluster) bool {
 			clusters = append(clusters, sc)
 			return true
 		})
@@ -240,7 +234,7 @@ func TestKilledWorkerResumesFromReceivedWatermark(t *testing.T) {
 			killedShipped = len(rest) / 2
 			resp := c.progress(heartbeatRequest{Worker: "w1", Lease: ls.id,
 				Clusters: rest[:killedShipped],
-				Ckpt:     SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: killedShipped}})
+				Ckpt:     SubtreeCheckpoint{Cond: ls.cond, Delivered: killedShipped}})
 			if !resp.OK {
 				t.Fatalf("half shipment rejected: %+v", resp)
 			}
@@ -250,7 +244,7 @@ func TestKilledWorkerResumesFromReceivedWatermark(t *testing.T) {
 			resumedSkip = ls.skip
 		}
 		resp := c.progress(heartbeatRequest{Worker: "w1", Lease: ls.id, Clusters: rest,
-			Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: ls.skip + len(rest)},
+			Ckpt: SubtreeCheckpoint{Cond: ls.cond, Delivered: ls.skip + len(rest)},
 			Done: true, Stats: &stats})
 		if !resp.OK || resp.Revoked {
 			t.Fatalf("completion rejected: %+v", resp)
@@ -285,21 +279,21 @@ func TestWatermarkMismatchRevokesLease(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = c.Mine(ctx, MineRequest{Matrix: m, Params: p, LocalWorkers: -1}, func(*core.Bicluster) bool { return true })
+		_, _ = mineShared(ctx, c, "", "", m, p, core.Options{Workers: -1}, func(*core.Bicluster) bool { return true })
 	}()
 	var ls *leaseState
 	for ls == nil {
-		if ls = c.take("w1", false, nil); ls == nil {
+		if ls = c.take("w1"); ls == nil {
 			time.Sleep(3 * time.Millisecond)
 		}
 	}
 	resp := c.progress(heartbeatRequest{Worker: "w1", Lease: ls.id,
-		Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: 7}}) // nothing shipped, claims 7
+		Ckpt: SubtreeCheckpoint{Cond: ls.cond, Delivered: 7}}) // nothing shipped, claims 7
 	if !resp.Revoked {
 		t.Fatalf("inconsistent watermark accepted: %+v", resp)
 	}
 	if resp := c.progress(heartbeatRequest{Worker: "w1", Lease: ls.id,
-		Ckpt: SubtreeCheckpoint{Cond: ls.unit.cond, Delivered: 0}}); !resp.Revoked {
+		Ckpt: SubtreeCheckpoint{Cond: ls.cond, Delivered: 0}}); !resp.Revoked {
 		t.Fatalf("heartbeat for a revoked lease accepted: %+v", resp)
 	}
 	cancel()
@@ -329,9 +323,7 @@ func TestWorkerRejectsCorruptReplica(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	var got []*core.Bicluster
-	_, err = c.Mine(ctx, MineRequest{
-		Job: "job-corrupt", Matrix: m, DatasetID: id, Params: p, LocalWorkers: -1,
-	}, func(b *core.Bicluster) bool {
+	_, err = mineShared(ctx, c, "job-corrupt", id, m, p, core.Options{Workers: -1}, func(b *core.Bicluster) bool {
 		got = append(got, b)
 		return true
 	})
@@ -380,9 +372,7 @@ func TestWorkerCachesKeepRecentDatasets(t *testing.T) {
 	defer cancel()
 	mine := func(id string) {
 		t.Helper()
-		if _, err := c.Mine(ctx, MineRequest{
-			Job: "job-" + id[:8], Matrix: src[id], DatasetID: id, Params: p, LocalWorkers: -1,
-		}, func(*core.Bicluster) bool { return true }); err != nil {
+		if _, err := mineShared(ctx, c, "job-"+id[:8], id, src[id], p, core.Options{Workers: -1}, func(*core.Bicluster) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -428,12 +418,13 @@ func TestDistributedResumeFromCheckpoint(t *testing.T) {
 	defer cancel()
 	c := NewCoordinator(Config{LeaseTTL: time.Second})
 
-	// First run: capture cadence checkpoints, let it complete via local mining.
+	// First run: capture cadence checkpoints, let it complete via one local
+	// worker.
 	var cks []core.Checkpoint
 	var first []*core.Bicluster
-	if _, err := c.Mine(ctx, MineRequest{
-		Matrix: m, Params: p, Models: models,
-		Ck: core.CheckpointConfig{EveryClusters: 9, OnCheckpoint: func(ck core.Checkpoint) { cks = append(cks, ck) }},
+	if _, err := mineShared(ctx, c, "", "", m, p, core.Options{
+		Workers: 1, Models: models,
+		Checkpoint: core.CheckpointConfig{EveryClusters: 9, OnCheckpoint: func(ck core.Checkpoint) { cks = append(cks, ck) }},
 	}, func(b *core.Bicluster) bool {
 		first = append(first, b)
 		return true
@@ -450,9 +441,7 @@ func TestDistributedResumeFromCheckpoint(t *testing.T) {
 	}
 
 	var tail []*core.Bicluster
-	stats, err := c.Mine(ctx, MineRequest{
-		Matrix: m, Params: p, Models: models, Resume: &ck,
-	}, func(b *core.Bicluster) bool {
+	stats, err := mineShared(ctx, c, "", "", m, p, core.Options{Workers: 1, Models: models, Resume: &ck}, func(b *core.Bicluster) bool {
 		tail = append(tail, b)
 		return true
 	})
@@ -462,6 +451,130 @@ func TestDistributedResumeFromCheckpoint(t *testing.T) {
 	assertSameClusters(t, full[ck.Delivered():], tail)
 	if !reflect.DeepEqual(ref.Stats, stats) {
 		t.Errorf("resumed stats: want %+v, got %+v", ref.Stats, stats)
+	}
+}
+
+// mineShared runs core.MineWith over m with its subtree queue shared with c,
+// as a coordinator-mode server does: o.Workers local workers (negative for
+// none) beside c's remote ones, with visit receiving the merged clusters.
+func mineShared(ctx context.Context, c *Coordinator, job, dataset string, m *matrix.Matrix, p core.Params, o core.Options, visit core.Visitor) (core.Stats, error) {
+	o.Visit = visit
+	o.Share = c.Share(job, dataset, p, nil)
+	res, err := core.MineWith(ctx, m, p, o)
+	if err != nil {
+		return core.Stats{}, err
+	}
+	return res.Stats, nil
+}
+
+// A non-final heartbeat holding part of the head subtree reaches the visitor
+// at once: a run merges a lease's clusters as they arrive, not when the lease
+// completes.
+func TestHeartbeatStreamsHeadSubtreeBeforeCompletion(t *testing.T) {
+	m, p := distTestMatrix(t)
+	models, err := core.BuildModels(m, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Mine(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(Config{LeaseTTL: time.Hour, Logf: t.Logf})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	var mu sync.Mutex
+	var got []*core.Bicluster
+	seen := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got)
+	}
+	var stats core.Stats
+	var mineErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		stats, mineErr = mineShared(ctx, c, "job-stream", "", m, p, core.Options{Workers: -1, Models: models}, func(b *core.Bicluster) bool {
+			mu.Lock()
+			got = append(got, b)
+			mu.Unlock()
+			return true
+		})
+	}()
+
+	// Lease every subtree to one holder, which mines them all up front.
+	leases := make([]*leaseState, m.Cols())
+	parts := make([][]core.SubtreeCluster, m.Cols())
+	partStats := make([]core.Stats, m.Cols())
+	for n, deadline := 0, time.Now().Add(10*time.Second); n < m.Cols(); {
+		ls := c.take("w1")
+		if ls == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("leased %d of %d subtrees", n, m.Cols())
+			}
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		leases[ls.cond] = ls
+		if partStats[ls.cond], err = core.MineSubtreeFunc(ctx, m, p, ls.cond, models, func(sc core.SubtreeCluster) bool {
+			parts[ls.cond] = append(parts[ls.cond], sc)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	complete := func(cond, from int) {
+		t.Helper()
+		rest := parts[cond][from:]
+		if resp := c.progress(heartbeatRequest{Worker: "w1", Lease: leases[cond].id, Clusters: rest,
+			Ckpt: SubtreeCheckpoint{Cond: cond, Delivered: from + len(rest)},
+			Done: true, Stats: &partStats[cond]}); !resp.OK || resp.Revoked {
+			t.Fatalf("completion of subtree %d rejected: %+v", cond, resp)
+		}
+	}
+
+	// Complete the subtrees before the first one worth splitting; that one is
+	// the merger's head.
+	head, before := 0, 0
+	for ; head < m.Cols() && len(parts[head]) < 2; head++ {
+		complete(head, 0)
+		before += len(parts[head])
+	}
+	if head == m.Cols() {
+		t.Fatal("no subtree has two clusters; test is vacuous")
+	}
+	half := len(parts[head]) / 2
+	if resp := c.progress(heartbeatRequest{Worker: "w1", Lease: leases[head].id, Clusters: parts[head][:half],
+		Ckpt: SubtreeCheckpoint{Cond: head, Delivered: half}}); !resp.OK || resp.Revoked {
+		t.Fatalf("partial shipment rejected: %+v", resp)
+	}
+	for deadline := time.Now().Add(10 * time.Second); seen() < before+half; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("visitor holds %d clusters, want %d before the head lease completes", seen(), before+half)
+		}
+	}
+	if _, _, _, completed := c.Counters(); completed != int64(head) {
+		t.Fatalf("%d leases completed, want %d: the head lease must still be open", completed, head)
+	}
+	mu.Lock()
+	assertSameClusters(t, want.Clusters[:before+half], got)
+	mu.Unlock()
+
+	// Finish the run, the later subtrees first.
+	for cond := m.Cols() - 1; cond > head; cond-- {
+		complete(cond, 0)
+	}
+	complete(head, half)
+	<-done
+	if mineErr != nil {
+		t.Fatal(mineErr)
+	}
+	assertSameClusters(t, want.Clusters, got)
+	if !reflect.DeepEqual(want.Stats, stats) {
+		t.Errorf("stats: want %+v, got %+v", want.Stats, stats)
 	}
 }
 

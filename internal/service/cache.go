@@ -67,8 +67,9 @@ func cacheKey(datasetID string, p core.Params) string {
 }
 
 // cachedResult is one settled mining outcome. subtrees, the run's
-// per-subtree Stats, live only in memory: a result restored from disk has
-// none, so a child dataset's job cannot splice from it and mines cold.
+// per-subtree Stats, are persisted with it, so a child dataset's job can
+// splice from a result restored at boot; a result file written before they
+// were persisted restores without them, and such a child mines cold.
 type cachedResult struct {
 	clusters []report.NamedCluster
 	stats    core.Stats

@@ -55,7 +55,7 @@ func startDistWorkers(t *testing.T, ts *httptest.Server, n int) []*dist.Worker {
 
 // TestCoordinatorModeByteIdenticalAcrossWorkers is the distributed acceptance
 // scenario at the service layer: a job submitted to a coordinator-mode server
-// with no local mining loops (DistLocalWorkers < 0) is mined entirely by two
+// with no local workers (DistLocalWorkers < 0) is mined entirely by two
 // remote workers over HTTP, and the streamed result — clusters and Stats —
 // byte-equals the single-node run.
 func TestCoordinatorModeByteIdenticalAcrossWorkers(t *testing.T) {
@@ -76,6 +76,12 @@ func TestCoordinatorModeByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if fin.Stats == nil || *fin.Stats != wantStats {
 		t.Fatalf("distributed stats %+v, want %+v", fin.Stats, wantStats)
+	}
+	// Remote subtrees feed the live counters as they land, so a settled
+	// uninterrupted run reads its Stats there too.
+	if fin.LiveNodes != int64(wantStats.Nodes) || fin.LiveClusters != int64(wantStats.Clusters) {
+		t.Errorf("live_nodes %d, live_clusters %d; want the settled %d and %d",
+			fin.LiveNodes, fin.LiveClusters, wantStats.Nodes, wantStats.Clusters)
 	}
 	streamed, _ := streamClusters(t, ts, v.ID)
 	if !reflect.DeepEqual(streamed, wantNamed) {

@@ -142,114 +142,133 @@ func TestAppendDeltaEndpoint(t *testing.T) {
 // the parent, append a delta, re-mine under identical params — the job must
 // take the incremental path (models repaired, clean subtrees spliced) and its
 // cluster stream plus Stats must be byte-identical to a cold mine of the
-// grown matrix. Then the diff endpoint summarizes the two results.
+// grown matrix. Then the diff endpoint summarizes the two results. It runs
+// on a single-mode server and on two coordinator-mode ones: one mining on a
+// local worker, one whose dirty subtrees only remote workers can mine.
 func TestIncrementalJobEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	p := incrParams()
-	parent := incrParentMatrix()
-	parentID := uploadMatrix(t, ts, parent, "parent")
-
-	pj := submitJob(t, ts, submitRequest{Dataset: parentID, Params: p, Workers: 2})
-	if v := waitTerminal(t, ts, pj.ID); v.Status != StatusDone {
-		t.Fatalf("parent job ended %s: %s", v.Status, v.Error)
-	}
-	parentClusters, _ := streamClusters(t, ts, pj.ID)
-	if len(parentClusters) == 0 {
-		t.Fatal("parent mine found no clusters; the fixture is supposed to produce some")
-	}
-
-	child, status := appendDeltaHTTP(t, ts, parentID, "", incrDeltaMatrix())
-	if status != http.StatusCreated {
-		t.Fatalf("append status %d", status)
-	}
-	cj := submitJob(t, ts, submitRequest{Dataset: child.ID, Params: p, Workers: 2})
-	cv := waitTerminal(t, ts, cj.ID)
-	if cv.Status != StatusDone {
-		t.Fatalf("child job ended %s: %s", cv.Status, cv.Error)
-	}
-
-	if cv.Incremental == nil {
-		t.Fatal("child job carries no incremental info; the reuse path never ran")
-	}
-	if !cv.Incremental.Incremental {
-		t.Fatalf("child job fell back to a cold mine: %q", cv.Incremental.Fallback)
-	}
-	// Dirty set under the fixture: c2 and the appended c4.
-	if cv.Incremental.SubtreesReused != 3 || cv.Incremental.SubtreesMined != 2 {
-		t.Fatalf("subtrees reused/mined = %d/%d, want 3/2",
-			cv.Incremental.SubtreesReused, cv.Incremental.SubtreesMined)
-	}
-
-	// Byte-identity: the streamed clusters and settled Stats must equal a
-	// cold mine of the grown matrix.
-	grown, err := matrix.AppendConditions(parent, incrDeltaMatrix())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := core.MineWith(context.Background(), grown, p, core.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := streamClusters(t, ts, cj.ID)
-	wantClusters := make([]report.NamedCluster, len(cold.Clusters))
-	for i, b := range cold.Clusters {
-		wantClusters[i] = report.Named(grown, b)
-	}
-	if !reflect.DeepEqual(got, wantClusters) {
-		t.Fatalf("incremental cluster stream differs from cold mine:\n got %+v\nwant %+v", got, wantClusters)
-	}
-	if cv.Stats == nil || *cv.Stats != cold.Stats {
-		t.Fatalf("incremental stats %+v differ from cold %+v", cv.Stats, cold.Stats)
-	}
-
-	// Metrics: one append, one incremental mine, per-gene repairs, subtree
-	// counters matching the job view.
-	for name, want := range map[string]int64{
-		"regserver_dataset_appends_total":             1,
-		"regserver_incremental_mines_total":           1,
-		"regserver_incremental_fallbacks_total":       0,
-		"regserver_incremental_subtrees_reused_total": 3,
-		"regserver_incremental_subtrees_mined_total":  2,
-		"regserver_model_repairs_total":               3, // one per gene
+	for _, tc := range []struct {
+		name   string
+		mode   string
+		local  int // Config.DistLocalWorkers
+		remote int // dist workers joining over HTTP
+	}{
+		{"single", "single", 0, 0},
+		{"coordinator_local_worker", "coordinator", 1, 0},
+		{"coordinator_remote_workers", "coordinator", -1, 2},
 	} {
-		if got := metricValue(t, ts, name); got != want {
-			t.Fatalf("metric %s = %d, want %d", name, got, want)
-		}
-	}
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Mode: tc.mode, DistLocalWorkers: tc.local, LeaseTTL: 500 * time.Millisecond, Logf: t.Logf})
+			if tc.remote > 0 {
+				startDistWorkers(t, ts, tc.remote)
+			}
+			p := incrParams()
+			parent := incrParentMatrix()
+			parentID := uploadMatrix(t, ts, parent, "parent")
 
-	// Diff surface: child vs parent under the same params.
-	resp, err := http.Get(ts.URL + "/datasets/" + child.ID + "/diff/" + parentID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("diff status %d", resp.StatusCode)
-	}
-	var diff DiffDocument
-	if err := json.NewDecoder(resp.Body).Decode(&diff); err != nil {
-		t.Fatal(err)
-	}
-	if diff.Schema != DiffSchemaID {
-		t.Fatalf("diff schema %q", diff.Schema)
-	}
-	if diff.Dataset != child.ID || diff.Parent != parentID || diff.Job != cj.ID {
-		t.Fatalf("diff identity %s/%s job %s", diff.Dataset, diff.Parent, diff.Job)
-	}
-	// The diff must account for every cluster on both sides exactly once.
-	if n := diff.Unchanged + len(diff.Grown) + len(diff.Added); n != len(got) {
-		t.Fatalf("diff covers %d child clusters, stream has %d", n, len(got))
-	}
-	if n := diff.Unchanged + len(diff.Grown) + len(diff.Removed); n != len(parentClusters) {
-		t.Fatalf("diff covers %d parent clusters, parent has %d", n, len(parentClusters))
-	}
-	for _, g := range diff.Grown {
-		if !reflect.DeepEqual(g.Before.Chain, g.After.Chain) || g.Before.Direction != g.After.Direction {
-			t.Fatalf("grown entry pairs different chains: %+v", g)
-		}
-		if reflect.DeepEqual(g.Before.Members, g.After.Members) {
-			t.Fatalf("grown entry with identical members: %+v", g)
-		}
+			pj := submitJob(t, ts, submitRequest{Dataset: parentID, Params: p, Workers: 2})
+			if v := waitTerminal(t, ts, pj.ID); v.Status != StatusDone {
+				t.Fatalf("parent job ended %s: %s", v.Status, v.Error)
+			}
+			parentClusters, _ := streamClusters(t, ts, pj.ID)
+			if len(parentClusters) == 0 {
+				t.Fatal("parent mine found no clusters; the fixture is supposed to produce some")
+			}
+
+			child, status := appendDeltaHTTP(t, ts, parentID, "", incrDeltaMatrix())
+			if status != http.StatusCreated {
+				t.Fatalf("append status %d", status)
+			}
+			cj := submitJob(t, ts, submitRequest{Dataset: child.ID, Params: p, Workers: 2})
+			cv := waitTerminal(t, ts, cj.ID)
+			if cv.Status != StatusDone {
+				t.Fatalf("child job ended %s: %s", cv.Status, cv.Error)
+			}
+
+			if cv.Incremental == nil {
+				t.Fatal("child job carries no incremental info; the reuse path never ran")
+			}
+			if !cv.Incremental.Incremental {
+				t.Fatalf("child job fell back to a cold mine: %q", cv.Incremental.Fallback)
+			}
+			// Dirty set under the fixture: c2 and the appended c4.
+			if cv.Incremental.SubtreesReused != 3 || cv.Incremental.SubtreesMined != 2 {
+				t.Fatalf("subtrees reused/mined = %d/%d, want 3/2",
+					cv.Incremental.SubtreesReused, cv.Incremental.SubtreesMined)
+			}
+
+			// Byte-identity: the streamed clusters and settled Stats must equal a
+			// cold mine of the grown matrix.
+			grown, err := matrix.AppendConditions(parent, incrDeltaMatrix())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := core.MineWith(context.Background(), grown, p, core.Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := streamClusters(t, ts, cj.ID)
+			wantClusters := make([]report.NamedCluster, len(cold.Clusters))
+			for i, b := range cold.Clusters {
+				wantClusters[i] = report.Named(grown, b)
+			}
+			if !reflect.DeepEqual(got, wantClusters) {
+				t.Fatalf("incremental cluster stream differs from cold mine:\n got %+v\nwant %+v", got, wantClusters)
+			}
+			if cv.Stats == nil || *cv.Stats != cold.Stats {
+				t.Fatalf("incremental stats %+v differ from cold %+v", cv.Stats, cold.Stats)
+			}
+
+			// Metrics: one append, one incremental mine, per-gene repairs, subtree
+			// counters matching the job view.
+			for name, want := range map[string]int64{
+				"regserver_dataset_appends_total":             1,
+				"regserver_incremental_mines_total":           1,
+				"regserver_incremental_fallbacks_total":       0,
+				"regserver_incremental_subtrees_reused_total": 3,
+				"regserver_incremental_subtrees_mined_total":  2,
+				"regserver_model_repairs_total":               3, // one per gene
+			} {
+				if got := metricValue(t, ts, name); got != want {
+					t.Fatalf("metric %s = %d, want %d", name, got, want)
+				}
+			}
+
+			// Diff surface: child vs parent under the same params.
+			resp, err := http.Get(ts.URL + "/datasets/" + child.ID + "/diff/" + parentID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("diff status %d", resp.StatusCode)
+			}
+			var diff DiffDocument
+			if err := json.NewDecoder(resp.Body).Decode(&diff); err != nil {
+				t.Fatal(err)
+			}
+			if diff.Schema != DiffSchemaID {
+				t.Fatalf("diff schema %q", diff.Schema)
+			}
+			if diff.Dataset != child.ID || diff.Parent != parentID || diff.Job != cj.ID {
+				t.Fatalf("diff identity %s/%s job %s", diff.Dataset, diff.Parent, diff.Job)
+			}
+			// The diff must account for every cluster on both sides exactly once.
+			if n := diff.Unchanged + len(diff.Grown) + len(diff.Added); n != len(got) {
+				t.Fatalf("diff covers %d child clusters, stream has %d", n, len(got))
+			}
+			if n := diff.Unchanged + len(diff.Grown) + len(diff.Removed); n != len(parentClusters) {
+				t.Fatalf("diff covers %d parent clusters, parent has %d", n, len(parentClusters))
+			}
+			for _, g := range diff.Grown {
+				if !reflect.DeepEqual(g.Before.Chain, g.After.Chain) || g.Before.Direction != g.After.Direction {
+					t.Fatalf("grown entry pairs different chains: %+v", g)
+				}
+				if reflect.DeepEqual(g.Before.Members, g.After.Members) {
+					t.Fatalf("grown entry with identical members: %+v", g)
+				}
+			}
+
+		})
 	}
 }
 
@@ -389,6 +408,99 @@ func TestDeltaLineageSurvivesRestart(t *testing.T) {
 	defer s3.Close()
 	if n := countType(journalRecords(t, dir), recDelta); n != 0 {
 		t.Fatalf("delta record for a deleted dataset survived compaction (%d left)", n)
+	}
+}
+
+// TestRestoredParentResultSeedsSplice: per-subtree Stats persist with a
+// settled result, so a child job submitted after a reboot splices from the
+// parent result restored from disk — 3 subtrees reused, 2 mined — and still
+// equals a cold mine. A result file written before they were persisted
+// restores without them, and the child mines cold, naming the fallback.
+func TestRestoredParentResultSeedsSplice(t *testing.T) {
+	p := incrParams()
+	grown, err := matrix.AppendConditions(incrParentMatrix(), incrDeltaMatrix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := core.Mine(grown, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantClusters := make([]report.NamedCluster, len(cold.Clusters))
+	for i, b := range cold.Clusters {
+		wantClusters[i] = report.Named(grown, b)
+	}
+	for _, tc := range []struct {
+		name     string
+		legacy   bool // strip the subtrees from the parent's result file
+		reused   int
+		fallback string
+	}{
+		{"persisted_subtrees", false, 3, ""},
+		{"legacy_result_file", true, 0, "parent result has no per-subtree stats"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(Config{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			parentID := uploadMatrix(t, ts, incrParentMatrix(), "parent")
+			if v := waitTerminal(t, ts, submitJob(t, ts, submitRequest{Dataset: parentID, Params: p, Workers: 2}).ID); v.Status != StatusDone {
+				t.Fatalf("parent job ended %s: %s", v.Status, v.Error)
+			}
+			child, status := appendDeltaHTTP(t, ts, parentID, "", incrDeltaMatrix())
+			if status != http.StatusCreated {
+				t.Fatalf("append status %d", status)
+			}
+			ts.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.legacy {
+				path := s.store.resultPath(cacheKey(parentID, p))
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rf map[string]json.RawMessage
+				if err := json.Unmarshal(raw, &rf); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := rf["subtrees"]; !ok {
+					t.Fatal("result file holds no subtrees to strip")
+				}
+				delete(rf, "subtrees")
+				if raw, err = json.Marshal(rf); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			_, ts2 := openTestServer(t, Config{DataDir: dir})
+			cv := waitTerminal(t, ts2, submitJob(t, ts2, submitRequest{Dataset: child.ID, Params: p, Workers: 2}).ID)
+			if cv.Status != StatusDone {
+				t.Fatalf("child job ended %s: %s", cv.Status, cv.Error)
+			}
+			info := cv.Incremental
+			if info == nil {
+				t.Fatal("child job carries no incremental info: the restored parent result was not offered")
+			}
+			if info.SubtreesReused != tc.reused || info.Fallback != tc.fallback ||
+				(tc.reused > 0 && (!info.Incremental || info.SubtreesMined != 2)) {
+				t.Fatalf("incremental info %+v, want %d reused and fallback %q", info, tc.reused, tc.fallback)
+			}
+			got, _ := streamClusters(t, ts2, cv.ID)
+			if !reflect.DeepEqual(got, wantClusters) {
+				t.Fatalf("child stream differs from a cold mine:\n got %+v\nwant %+v", got, wantClusters)
+			}
+			if cv.Stats == nil || *cv.Stats != cold.Stats {
+				t.Fatalf("child stats %+v differ from cold %+v", cv.Stats, cold.Stats)
+			}
+		})
 	}
 }
 

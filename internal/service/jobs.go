@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"regcluster/internal/core"
-	"regcluster/internal/dist"
 	"regcluster/internal/faultinject"
 	"regcluster/internal/obs"
 	"regcluster/internal/report"
@@ -292,13 +291,11 @@ type jobManager struct {
 	// managers) disables the incremental path.
 	datasets func(id string) (*Dataset, bool)
 
-	// coord, when non-nil, routes mining through the distributed
-	// coordinator (subtree leases to remote workers plus local loops)
-	// instead of the in-process parallel engine. Output is byte-identical
-	// either way; distLocalWorkers carries the Config.DistLocalWorkers
-	// override into each run.
-	coord            *dist.Coordinator
-	distLocalWorkers int
+	// distribute, set in coordinator mode, fits a run's options to the
+	// coordinator: the run shares its subtree queue with the remote workers
+	// and mines beside them on Config.DistLocalWorkers local ones. Output is
+	// byte-identical either way.
+	distribute func(j *Job, o *core.Options)
 
 	// Durability plumbing; wal/store are nil on an in-memory server.
 	wal     *journal
@@ -707,23 +704,10 @@ func (m *jobManager) mine(ctx context.Context, j *Job) (core.Stats, error) {
 		m.metrics.ClustersStreamed.Add(1)
 		return true
 	}
-	if m.coord != nil {
-		// Coordinator mode: the same visitor, resume point, and checkpoint
-		// cadence feed the distributed merger, so the journal/recovery path
-		// is oblivious to where the subtrees were mined.
-		return m.coord.Mine(ctx, dist.MineRequest{
-			Job:          j.ID,
-			Matrix:       mat,
-			DatasetID:    j.Dataset.ID,
-			Params:       j.Params,
-			Models:       models,
-			Resume:       resume,
-			Ck:           ck,
-			Span:         j.obs.TraceSpan(),
-			LocalWorkers: m.distLocalWorkers,
-		}, visit)
-	}
 	opts := core.Options{Workers: j.Workers, Visit: visit, Observer: &j.obs, Resume: resume, Checkpoint: ck, Models: models}
+	if m.distribute != nil {
+		m.distribute(j, &opts)
+	}
 	if resume == nil {
 		if opts.Parent = m.incrementalPlan(j); opts.Parent != nil {
 			// No checkpoints: one per subtree boundary raised append-remine op_p50_ms from ~4 to ~8 ms.

@@ -286,10 +286,14 @@ func (s *store) loadDatasets() []*Dataset {
 	return out
 }
 
-// resultFile is the persisted form of one cached mining outcome.
+// resultFile is the persisted form of one cached mining outcome. Subtrees,
+// the run's per-subtree Stats, let a result restored at boot seed a child
+// dataset's splice; files written before they were persisted load without
+// them, and their children mine cold.
 type resultFile struct {
 	Clusters []report.NamedCluster `json:"clusters"`
 	Stats    core.Stats            `json:"stats"`
+	Subtrees []core.Stats          `json:"subtrees,omitempty"`
 }
 
 func (s *store) resultPath(key string) string {
@@ -305,7 +309,7 @@ func (s *store) saveResult(key string, res cachedResult) error {
 	if clusters == nil {
 		clusters = []report.NamedCluster{}
 	}
-	data, err := json.Marshal(resultFile{Clusters: clusters, Stats: res.stats})
+	data, err := json.Marshal(resultFile{Clusters: clusters, Stats: res.stats, Subtrees: res.subtrees})
 	if err != nil {
 		return err
 	}
@@ -371,7 +375,7 @@ func (s *store) loadResults(max int) []storedResult {
 			s.deleteResult(f.key)
 			continue
 		}
-		out = append(out, storedResult{key: f.key, res: cachedResult{clusters: rf.Clusters, stats: rf.Stats}})
+		out = append(out, storedResult{key: f.key, res: cachedResult{clusters: rf.Clusters, stats: rf.Stats, subtrees: rf.Subtrees}})
 	}
 	return out
 }

@@ -146,18 +146,18 @@ type Config struct {
 	SlowJobThreshold time.Duration
 
 	// Mode selects how jobs mine: "single" (default) uses the in-process
-	// parallel engine; "coordinator" splits every job into per-condition
-	// subtree leases served to remote workers over the /dist/* endpoints
-	// (plus DistLocalWorkers in-process loops) and merges the partials
-	// through the same reconciliation path, so the output is byte-identical
-	// either way. (Worker mode is a different process shape entirely and
-	// lives in cmd/regserver, not here.)
+	// parallel engine; "coordinator" runs the same engine with every job's
+	// queue of per-condition subtrees shared with remote workers, which
+	// lease them over the /dist/* endpoints beside DistLocalWorkers local
+	// ones; the output is byte-identical either way. (Worker mode is a
+	// different process shape entirely and lives in cmd/regserver, not
+	// here.)
 	Mode string
 	// LeaseTTL is how long a coordinator lease survives without a worker
 	// heartbeat before its subtree is re-queued (default 5s).
 	LeaseTTL time.Duration
-	// DistLocalWorkers is the number of in-process mining loops each
-	// coordinator-mode job runs alongside remote workers: 0 means 1 (the
+	// DistLocalWorkers is the number of local mining workers each
+	// coordinator-mode job runs beside remote workers: 0 means 1 (the
 	// coordinator can always finish a job alone), negative means none —
 	// jobs then wait for remote workers.
 	DistLocalWorkers int
@@ -288,14 +288,19 @@ func Open(cfg Config) (*Server, error) {
 		// The coordinator must exist before recovery: interrupted jobs
 		// re-enqueued at boot mine through it like fresh ones.
 		s.coord = dist.NewCoordinator(dist.Config{
-			LeaseTTL:     cfg.LeaseTTL,
-			LocalWorkers: cfg.DistLocalWorkers,
-			Datasets:     registrySource{s.registry},
-			Events:       s.distEvent,
-			Logf:         s.logf,
+			LeaseTTL: cfg.LeaseTTL,
+			Datasets: registrySource{s.registry},
+			Events:   s.distEvent,
+			Logf:     s.logf,
 		})
-		s.jobs.coord = s.coord
-		s.jobs.distLocalWorkers = cfg.DistLocalWorkers
+		local := cfg.DistLocalWorkers
+		if local == 0 {
+			local = 1
+		}
+		s.jobs.distribute = func(j *Job, o *core.Options) {
+			o.Workers = local // negative: none, with the queue shared
+			o.Share = s.coord.Share(j.ID, j.Dataset.ID, j.Params, j.obs.TraceSpan())
+		}
 	default:
 		return nil, fmt.Errorf("service: unknown mode %q (want single or coordinator)", cfg.Mode)
 	}

@@ -4,7 +4,9 @@
 # must take the incremental path (repairing the cached RWave models and
 # re-mining only the dirty subtrees), its result must be byte-identical to a
 # cold mine of the same grown matrix on a fresh server, and the diff endpoint
-# must describe the change under the regcluster.diff/v1 schema.
+# must describe the change under the regcluster.diff/v1 schema. The first
+# phase runs twice: on a single-mode server, and on a coordinator with one
+# local worker, which must take the same incremental path.
 set -euo pipefail
 
 script_dir=$(cd "$(dirname "$0")" && pwd)
@@ -35,54 +37,60 @@ build_tools regserver
 params='{"MinG":2,"MinC":2,"Gamma":2,"AbsoluteGamma":true,"Epsilon":1}'
 
 # --- Phase 1: mine the parent, append the delta, re-mine incrementally ------
-start_server "$workdir/server.log" -jobs 1
-parent=$(upload "$workdir/parent.tsv" incr)
-[[ -n "$parent" ]] || fail "upload returned no dataset ID"
-pjob=$(submit "$parent" "$params")
-[[ -n "$pjob" ]] || fail "parent submission returned no job ID"
-wait_done "$pjob" 300
-note "parent $pjob done"
+phase1() { # phase1 <label> <server flags...>: writes incremental-<label>.json
+    local label=$1
+    shift
+    start_server "$workdir/server-$label.log" "$@"
+    parent=$(upload "$workdir/parent.tsv" incr)
+    [[ -n "$parent" ]] || fail "upload returned no dataset ID"
+    pjob=$(submit "$parent" "$params")
+    [[ -n "$pjob" ]] || fail "parent submission returned no job ID"
+    wait_done "$pjob" 300
+    note "$label: parent $pjob done"
 
-reply=$(curl -sf -X POST --data-binary @"$workdir/delta.tsv" \
-    "$base/datasets/$parent/append")
-child=$(printf '%s' "$reply" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)
-[[ -n "$child" && "$child" != "$parent" ]] || fail "append returned no child ID: $reply"
-printf '%s' "$reply" | grep -q '"parent": *"'"$parent"'"' \
-    || fail "append reply lacks parent lineage: $reply"
-[[ "$(metric regserver_dataset_appends_total)" == 1 ]] \
-    || fail "dataset_appends metric after append"
-note "appended delta: child $child"
+    reply=$(curl -sf -X POST --data-binary @"$workdir/delta.tsv" \
+        "$base/datasets/$parent/append")
+    child=$(printf '%s' "$reply" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)
+    [[ -n "$child" && "$child" != "$parent" ]] || fail "append returned no child ID: $reply"
+    printf '%s' "$reply" | grep -q '"parent": *"'"$parent"'"' \
+        || fail "append reply lacks parent lineage: $reply"
+    [[ "$(metric regserver_dataset_appends_total)" == 1 ]] \
+        || fail "dataset_appends metric after append"
+    note "$label: appended delta: child $child"
 
-cjob=$(submit "$child" "$params")
-[[ -n "$cjob" ]] || fail "child submission returned no job ID"
-wait_done "$cjob" 300
-cview=$(curl -sf "$base/jobs/$cjob")
-echo "$cview" | grep -q '"incremental": *true' \
-    || fail "child job did not take the incremental path: $cview"
-echo "$cview" | grep -q '"subtrees_reused": *3' || fail "subtrees_reused: $cview"
-echo "$cview" | grep -q '"subtrees_mined": *2' || fail "subtrees_mined: $cview"
-note "incremental re-mine done (reused 3, mined 2)"
+    cjob=$(submit "$child" "$params")
+    [[ -n "$cjob" ]] || fail "child submission returned no job ID"
+    wait_done "$cjob" 300
+    cview=$(curl -sf "$base/jobs/$cjob")
+    echo "$cview" | grep -q '"incremental": *true' \
+        || fail "child job did not take the incremental path: $cview"
+    echo "$cview" | grep -q '"subtrees_reused": *3' || fail "subtrees_reused: $cview"
+    echo "$cview" | grep -q '"subtrees_mined": *2' || fail "subtrees_mined: $cview"
+    note "$label: incremental re-mine done (reused 3, mined 2)"
 
-metrics=$(curl -sf "$base/metrics")
-for want in \
-    'regserver_incremental_mines_total 1' \
-    'regserver_incremental_fallbacks_total 0' \
-    'regserver_incremental_subtrees_reused_total 3' \
-    'regserver_incremental_subtrees_mined_total 2' \
-    'regserver_model_repairs_total 3'; do
-    echo "$metrics" | grep -q "^$want$" \
-        || fail "metric '$want': $(echo "$metrics" | grep -E 'incremental|repairs')"
-done
+    metrics=$(curl -sf "$base/metrics")
+    for want in \
+        'regserver_incremental_mines_total 1' \
+        'regserver_incremental_fallbacks_total 0' \
+        'regserver_incremental_subtrees_reused_total 3' \
+        'regserver_incremental_subtrees_mined_total 2' \
+        'regserver_model_repairs_total 3'; do
+        echo "$metrics" | grep -q "^$want$" \
+            || fail "metric '$want': $(echo "$metrics" | grep -E 'incremental|repairs')"
+    done
 
-diff_doc=$(curl -sf "$base/datasets/$child/diff/$parent")
-echo "$diff_doc" | grep -q '"schema": *"regcluster.diff/v1"' \
-    || fail "diff schema: $diff_doc"
-echo "$diff_doc" | grep -q '"parent": *"'"$parent"'"' || fail "diff parent: $diff_doc"
-note "diff served under regcluster.diff/v1"
+    diff_doc=$(curl -sf "$base/datasets/$child/diff/$parent")
+    echo "$diff_doc" | grep -q '"schema": *"regcluster.diff/v1"' \
+        || fail "diff schema: $diff_doc"
+    echo "$diff_doc" | grep -q '"parent": *"'"$parent"'"' || fail "diff parent: $diff_doc"
+    note "$label: diff served under regcluster.diff/v1"
 
-curl -sf "$base/jobs/$cjob/result" >"$workdir/incremental.json"
-curl -sf "$base/datasets/$child/tsv" >"$workdir/grown.tsv"
-stop_server
+    curl -sf "$base/jobs/$cjob/result" >"$workdir/incremental-$label.json"
+    curl -sf "$base/datasets/$child/tsv" >"$workdir/grown.tsv"
+    stop_server
+}
+phase1 single -jobs 1
+phase1 coordinator -jobs 1 -mode coordinator -local-workers 1
 
 # --- Phase 2: cold-mine the grown matrix on a fresh server and compare ------
 start_server "$workdir/cold.log" -jobs 1
@@ -97,7 +105,9 @@ curl -sf "$base/jobs/$gjob/result" >"$workdir/cold.json"
     || fail "cold server took the incremental path"
 stop_server
 
-cmp -s "$workdir/incremental.json" "$workdir/cold.json" \
-    || fail "incremental result differs from the cold mine"
-note "incremental result byte-identical to the cold mine"
+for label in single coordinator; do
+    cmp -s "$workdir/incremental-$label.json" "$workdir/cold.json" \
+        || fail "$label: incremental result differs from the cold mine"
+done
+note "incremental results byte-identical to the cold mine"
 note "OK"
