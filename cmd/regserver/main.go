@@ -57,6 +57,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -221,6 +222,20 @@ type workerOptions struct {
 	format    obs.Format
 }
 
+// workerConfig resolves the worker flags: the advertised name defaults to the
+// hostname, and -slots 0 holds one lease per core.
+func (opt workerOptions) workerConfig(logf func(string, ...any)) dist.WorkerConfig {
+	name := opt.advertise
+	if name == "" {
+		name, _ = os.Hostname()
+	}
+	slots := opt.slots
+	if slots == 0 {
+		slots = runtime.GOMAXPROCS(0)
+	}
+	return dist.WorkerConfig{Coordinator: opt.join, Name: name, Slots: slots, Logf: logf}
+}
+
 // runWorker turns the process into a mining worker: it registers with the
 // coordinator at -join, long-polls for subtree leases, and serves only a
 // local /healthz (liveness plus lease counters) on -addr. It blocks until ctx
@@ -230,17 +245,8 @@ func runWorker(ctx context.Context, opt workerOptions, stdout, stderr io.Writer)
 	if opt.join == "" {
 		return errors.New("-mode worker requires -join (coordinator base URL)")
 	}
-	name := opt.advertise
-	if name == "" {
-		name, _ = os.Hostname()
-	}
 	logger := obs.NewLogger(stderr, opt.format)
-	w := dist.NewWorker(dist.WorkerConfig{
-		Coordinator: opt.join,
-		Name:        name,
-		Slots:       opt.slots,
-		Logf:        logger.Printf,
-	})
+	w := dist.NewWorker(opt.workerConfig(logger.Printf))
 
 	ln, err := net.Listen("tcp", opt.addr)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -294,6 +295,17 @@ func TestModeFlagValidation(t *testing.T) {
 		var stdout, stderr lineBuffer
 		if err := run(context.Background(), args, &stdout, &stderr); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestWorkerSlotsDefaultToCores: -slots 0 holds one lease per core, as its
+// help says, and an explicit count passes through.
+func TestWorkerSlotsDefaultToCores(t *testing.T) {
+	for _, tc := range []struct{ flag, want int }{{0, runtime.GOMAXPROCS(0)}, {3, 3}} {
+		cfg := workerOptions{join: "http://coordinator", advertise: "w", slots: tc.flag}.workerConfig(nil)
+		if cfg.Slots != tc.want || cfg.Name != "w" || cfg.Coordinator != "http://coordinator" {
+			t.Errorf("-slots %d: worker config %+v, want %d slots", tc.flag, cfg, tc.want)
 		}
 	}
 }

@@ -3,9 +3,10 @@ package core
 import "fmt"
 
 // CheckpointVersion is the serialization version stamped into every snapshot;
-// ResumeFrom rejects other versions so a journal written by a future format
-// can never be silently misinterpreted.
-const CheckpointVersion = 1
+// Validate rejects other versions, so a snapshot written in an older or a
+// future format is never silently misread. Version 1 carried one aggregate
+// prefix Stats instead of each settled subtree's.
+const CheckpointVersion = 2
 
 // Checkpoint is a serializable snapshot of a mining run's progress, taken at
 // a deterministic point of the sequential enumeration order. Because the
@@ -16,30 +17,29 @@ const CheckpointVersion = 1
 //     settled;
 //   - SkipClusters: how many clusters of that subtree were already delivered
 //     (the emitted-cluster watermark within the subtree);
-//   - Prefix: the exact sequential Stats — budget counters included — of the
-//     fully settled subtrees before NextCond.
+//   - Subtrees: the isolated Stats of each settled subtree 0..NextCond-1.
 //
-// A resumed run re-mines only the subtree at NextCond (suppressing its first
-// SkipClusters clusters) and everything after it; subtrees before NextCond
-// are never revisited, and the returned Stats are the TOTAL run statistics
-// (Prefix plus the continuation), identical to an uninterrupted run's.
-//
-// LastChain records the representative-chain prefix of the most recently
-// delivered cluster — the DFS stack position at snapshot time. It is
-// advisory: recovery logs and operators use it to see where a long run was,
-// but resumption does not depend on it.
+// A resumed run folds Subtrees as recorded partials, never revisiting those
+// subtrees, and mines the subtree at NextCond as a root put back with its
+// first SkipClusters clusters already delivered, then everything after it.
+// The returned Stats and Result.Subtrees are the uninterrupted run's.
 type Checkpoint struct {
-	Version      int   `json:"v"`
-	NextCond     int   `json:"next_cond"`
-	SkipClusters int   `json:"skip_clusters"`
-	Prefix       Stats `json:"prefix"`
-	LastChain    []int `json:"last_chain,omitempty"`
+	Version      int     `json:"v"`
+	NextCond     int     `json:"next_cond"`
+	SkipClusters int     `json:"skip_clusters"`
+	Subtrees     []Stats `json:"subtrees,omitempty"`
 }
 
 // Delivered returns the total number of clusters the run had delivered when
-// the snapshot was taken: the settled-prefix clusters plus the watermark
+// the snapshot was taken: the settled subtrees' clusters plus the watermark
 // within the subtree being streamed.
-func (c *Checkpoint) Delivered() int { return c.Prefix.Clusters + c.SkipClusters }
+func (c *Checkpoint) Delivered() int {
+	n := c.SkipClusters
+	for _, st := range c.Subtrees {
+		n += st.Clusters
+	}
+	return n
+}
 
 // Validate reports whether the snapshot can resume a run over a matrix with
 // the given number of conditions.
@@ -50,11 +50,19 @@ func (c *Checkpoint) Validate(conds int) error {
 	if c.NextCond < 0 || c.NextCond > conds {
 		return fmt.Errorf("core: checkpoint NextCond %d outside [0,%d]", c.NextCond, conds)
 	}
+	if len(c.Subtrees) != c.NextCond {
+		return fmt.Errorf("core: checkpoint records %d subtrees before NextCond %d", len(c.Subtrees), c.NextCond)
+	}
 	if c.NextCond == conds && c.SkipClusters != 0 {
 		return fmt.Errorf("core: checkpoint is past the last subtree but skips %d clusters", c.SkipClusters)
 	}
-	if c.SkipClusters < 0 || c.Prefix.Nodes < 0 || c.Prefix.Clusters < 0 {
+	if c.SkipClusters < 0 {
 		return fmt.Errorf("core: negative checkpoint counters")
+	}
+	for _, st := range c.Subtrees {
+		if st.Nodes < 0 || st.Clusters < 0 || st.Truncated {
+			return fmt.Errorf("core: checkpoint records an invalid subtree %+v", st)
+		}
 	}
 	return nil
 }

@@ -16,15 +16,26 @@ import (
 // deliveries (simulating an interruption).
 func resumableRun(t *testing.T, m *matrix.Matrix, p Params, workers int, resume *Checkpoint, every, stopAfter int) ([]*Bicluster, []Checkpoint, Stats, error) {
 	t.Helper()
+	got, snaps, res, err := resumableResult(t, m, p, workers, resume, every, stopAfter)
+	if err != nil {
+		return got, snaps, Stats{}, err
+	}
+	return got, snaps, res.Stats, nil
+}
+
+// resumableResult is resumableRun returning the whole Result, per-subtree
+// Stats included.
+func resumableResult(t *testing.T, m *matrix.Matrix, p Params, workers int, resume *Checkpoint, every, stopAfter int) ([]*Bicluster, []Checkpoint, *Result, error) {
+	t.Helper()
 	var got []*Bicluster
 	var snaps []Checkpoint
-	stats, err := statsOf(MineWith(context.Background(), m, p, Options{Workers: workers, Visit: func(b *Bicluster) bool {
+	res, err := MineWith(context.Background(), m, p, Options{Workers: workers, Visit: func(b *Bicluster) bool {
 		got = append(got, b)
 		return stopAfter <= 0 || len(got) < stopAfter
 	}, Resume: resume, Checkpoint: CheckpointConfig{EveryClusters: every, OnCheckpoint: func(ck Checkpoint) {
 		snaps = append(snaps, ck)
-	}}}))
-	return got, snaps, stats, err
+	}}})
+	return got, snaps, res, err
 }
 
 // TestResumableMatchesSequential: the resumable entry point without a resume
@@ -60,8 +71,10 @@ func TestResumableMatchesSequential(t *testing.T) {
 				} else {
 					prevDelivered = d
 				}
-				if ck.Prefix.Truncated {
-					t.Fatalf("snapshot %d prefix marked truncated", i)
+				for _, st := range ck.Subtrees {
+					if st.Truncated {
+						t.Fatalf("snapshot %d records a truncated subtree", i)
+					}
 				}
 			}
 			// The final boundary snapshot covers the whole run.
@@ -69,8 +82,8 @@ func TestResumableMatchesSequential(t *testing.T) {
 			if last.NextCond != m.Cols() || last.Delivered() != len(seq.Clusters) {
 				t.Fatalf("final snapshot %+v does not cover the run (%d clusters)", last, len(seq.Clusters))
 			}
-			if !reflect.DeepEqual(last.Prefix, seq.Stats) {
-				t.Fatalf("final snapshot prefix %+v, want %+v", last.Prefix, seq.Stats)
+			if !reflect.DeepEqual(last.Subtrees, seq.Subtrees) {
+				t.Fatalf("final snapshot subtrees %+v, want %+v", last.Subtrees, seq.Subtrees)
 			}
 		}
 	}
@@ -78,7 +91,8 @@ func TestResumableMatchesSequential(t *testing.T) {
 
 // TestResumeFromEverySnapshot is the recovery core property: resuming from
 // ANY snapshot of a run delivers exactly the remaining sequential clusters,
-// and the resumed run's Stats equal the uninterrupted run's.
+// and the resumed run's Stats and per-subtree Stats equal the uninterrupted
+// run's.
 func TestResumeFromEverySnapshot(t *testing.T) {
 	m := randomMatrix(60, 10, 4)
 	p := Params{MinG: 3, MinC: 3, Gamma: 0.05, Epsilon: 0.4}
@@ -94,10 +108,11 @@ func TestResumeFromEverySnapshot(t *testing.T) {
 	for i, ck := range snaps {
 		ck := ck
 		for _, workers := range equivalenceWorkers {
-			got, _, stats, err := resumableRun(t, m, p, workers, &ck, 1000, 0)
+			got, _, res, err := resumableResult(t, m, p, workers, &ck, 1000, 0)
 			if err != nil {
 				t.Fatalf("resume from snapshot %d: %v", i, err)
 			}
+			stats := res.Stats
 			wantSuffix := seq.Clusters[ck.Delivered():]
 			if len(got) != len(wantSuffix) {
 				t.Fatalf("snapshot %d workers %d: resumed %d clusters, want %d",
@@ -111,6 +126,10 @@ func TestResumeFromEverySnapshot(t *testing.T) {
 			if !reflect.DeepEqual(stats, seq.Stats) {
 				t.Fatalf("snapshot %d workers %d: resumed stats %+v, want %+v",
 					i, workers, stats, seq.Stats)
+			}
+			if !reflect.DeepEqual(res.Subtrees, seq.Subtrees) {
+				t.Fatalf("snapshot %d (NextCond %d) workers %d: resumed per-subtree stats %+v, want %+v",
+					i, ck.NextCond, workers, res.Subtrees, seq.Subtrees)
 			}
 		}
 	}
@@ -200,7 +219,7 @@ func TestResumePastEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resume := &Checkpoint{Version: CheckpointVersion, NextCond: m.Cols(), Prefix: seq.Stats}
+	resume := &Checkpoint{Version: CheckpointVersion, NextCond: m.Cols(), Subtrees: seq.Subtrees}
 	got, _, stats, err := resumableRun(t, m, p, 2, resume, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -219,13 +238,15 @@ func TestCheckpointValidate(t *testing.T) {
 		ck   Checkpoint
 		ok   bool
 	}{
-		{"valid", Checkpoint{Version: 1, NextCond: 3}, true},
-		{"wrong version", Checkpoint{Version: 2}, false},
-		{"negative cond", Checkpoint{Version: 1, NextCond: -1}, false},
-		{"cond past end", Checkpoint{Version: 1, NextCond: 11}, false},
-		{"end with skip", Checkpoint{Version: 1, NextCond: 10, SkipClusters: 1}, false},
-		{"negative skip", Checkpoint{Version: 1, SkipClusters: -1}, false},
-		{"negative prefix", Checkpoint{Version: 1, Prefix: Stats{Nodes: -1}}, false},
+		{"valid", Checkpoint{Version: 2, NextCond: 3, Subtrees: make([]Stats, 3)}, true},
+		{"wrong version", Checkpoint{Version: 1}, false},
+		{"negative cond", Checkpoint{Version: 2, NextCond: -1}, false},
+		{"cond past end", Checkpoint{Version: 2, NextCond: 11, Subtrees: make([]Stats, 11)}, false},
+		{"end with skip", Checkpoint{Version: 2, NextCond: 10, SkipClusters: 1, Subtrees: make([]Stats, 10)}, false},
+		{"negative skip", Checkpoint{Version: 2, SkipClusters: -1}, false},
+		{"negative subtree", Checkpoint{Version: 2, NextCond: 1, Subtrees: []Stats{{Nodes: -1}}}, false},
+		{"subtrees short of NextCond", Checkpoint{Version: 2, NextCond: 3, Subtrees: make([]Stats, 2)}, false},
+		{"truncated subtree", Checkpoint{Version: 2, NextCond: 1, Subtrees: []Stats{{Truncated: true}}}, false},
 	}
 	for _, tc := range cases {
 		if err := tc.ck.Validate(10); (err == nil) != tc.ok {

@@ -31,8 +31,8 @@ import (
 
 // Parent is a settled run that MineWith may reuse (Options.Parent): the
 // matrix it mined and its Result under the same Params. The Result must
-// carry its per-subtree Stats (Result.Subtrees), which only a complete,
-// unresumed run records.
+// carry its per-subtree Stats (Result.Subtrees), which every untruncated
+// run records, resumed or not.
 type Parent struct {
 	Matrix *matrix.Matrix
 	Result *Result

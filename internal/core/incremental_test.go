@@ -220,6 +220,51 @@ func TestDifferentialIncrementalVsCold(t *testing.T) {
 	t.Logf("incremental runs %d (reused %d subtrees), fallbacks %d", sawIncremental, sawReused, sawFallback)
 }
 
+// TestResumeWithParent: a run seeded with a parent and resumed from any
+// snapshot of the cold child run delivers exactly the remaining clusters,
+// with the cold run's Stats and per-subtree Stats. A spliced partial that
+// lands on the resumed head skips the clusters delivered before the
+// snapshot, as every producer of a put-back root does.
+func TestResumeWithParent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	splicedResumes := 0
+	for i := 0; i < 6; i++ {
+		rows := 2 + rng.Intn(8)
+		parent, child := grownMatrix(t, rng, rows, 3+rng.Intn(5), 1+rng.Intn(3))
+		p := incrSchemes(rng, rows)[2]
+		parentRes, err := Mine(parent, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snaps []Checkpoint
+		cold, err := MineWith(context.Background(), child, p, Options{Workers: 2,
+			Checkpoint: CheckpointConfig{EveryClusters: 1, OnCheckpoint: func(ck Checkpoint) { snaps = append(snaps, ck) }}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, ck := range snaps {
+			var got []*Bicluster
+			res, err := MineWith(context.Background(), child, p, Options{Workers: 2, Resume: &ck,
+				Visit:  func(b *Bicluster) bool { got = append(got, b); return true },
+				Parent: &Parent{Matrix: parent, Result: parentRes}})
+			if err != nil {
+				t.Fatalf("trial %d snapshot %d: %v", i, k, err)
+			}
+			if !sameClustersExact(cold.Clusters[ck.Delivered():], got) || res.Stats != cold.Stats ||
+				!reflect.DeepEqual(res.Subtrees, cold.Subtrees) {
+				t.Fatalf("trial %d snapshot %d (%d+%d): resumed %v / %+v / %+v, want %v / %+v / %+v", i, k,
+					ck.NextCond, ck.SkipClusters, got, res.Stats, res.Subtrees, cold.Clusters[ck.Delivered():], cold.Stats, cold.Subtrees)
+			}
+			if res.Incremental.Incremental && ck.SkipClusters > 0 {
+				splicedResumes++
+			}
+		}
+	}
+	if splicedResumes == 0 {
+		t.Fatal("no spliced run resumed inside a subtree; test is vacuous")
+	}
+}
+
 // TestMineIncrementalFallbacks: every ineligible parent must make MineWith
 // mine cold — reporting a reason — and still produce output identical to a
 // plain mine under the same Params.

@@ -18,9 +18,10 @@ type Result struct {
 	Clusters []*Bicluster
 	Stats    Stats
 	// Subtrees holds each level-1 subtree's isolated Stats, indexed by
-	// starting condition. Every run that covers all subtrees from condition
-	// 0 without truncation records them; it is nil otherwise. A later run
-	// over an appended matrix reuses them through Options.Parent.
+	// starting condition. Every run that ends untruncated records them — a
+	// resumed run takes those of the subtrees its checkpoint settled from
+	// Checkpoint.Subtrees; it is nil otherwise. A later run over an appended
+	// matrix reuses them through Options.Parent.
 	Subtrees []Stats
 	// Incremental reports how a run with Options.Parent reused it; nil
 	// when the run had no parent.
@@ -67,8 +68,8 @@ type Options struct {
 	Observer *Observer
 	// Resume restarts a run from a prior snapshot of the same matrix and
 	// Params: the visitor receives exactly the clusters after
-	// Resume.Delivered(), and the returned Stats are the uninterrupted run's
-	// totals.
+	// Resume.Delivered(), and the returned Stats and Subtrees are the
+	// uninterrupted run's.
 	Resume *Checkpoint
 	// Checkpoint emits snapshots as the run advances.
 	Checkpoint CheckpointConfig

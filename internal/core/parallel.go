@@ -30,16 +30,21 @@ import (
 // deliver: an incremental run (Options.Parent) delivers each clean
 // subtree's recorded partial before it starts and queues only the dirty
 // roots, and a caller the queue is shared with (Options.Share) delivers the
-// clusters of the roots it takes as its remote workers ship them. The merger
-// cannot tell the kinds apart, so a visitor stop inside a spliced or remote
-// subtree settles exactly as it would on a cold local run.
+// clusters of the roots it takes as its remote workers ship them. A resumed
+// run (Options.Resume) folds the subtrees its checkpoint settled as recorded
+// Stats and queues its head as a put-back root: a buffer that already holds
+// the clusters delivered before the snapshot, which its producer skips. The
+// merger cannot tell the kinds apart, so a visitor stop inside a spliced,
+// remote or resumed subtree settles exactly as it would on a cold local run.
 
 // mineParallel runs the engine for MineWith: workers local goroutines (none
 // is allowed only when o.Share takes the roots instead) over the run's
 // shared model set. spliced, when non-nil, holds a recorded partial for
 // every subtree that is not to be mined (nil entries are mined). It returns
-// the run's Stats and, for a run that covered every subtree from condition
-// 0 untruncated, each subtree's isolated Stats.
+// the run's Stats and, unless the run truncated, each subtree's isolated
+// Stats. The shared budget counts only this run's mining: it stops capped
+// runs early, and the merger's accounting against the resumed prefix is
+// exact without it.
 func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Set, workers int, visit Visitor, o Options, sp *obs.Span, spliced []*SubtreePartial) (Stats, []Stats, error) {
 	g, err := newMerger(ctx, m, p, set, visit, o.Resume, o.Checkpoint)
 	if err != nil {
@@ -51,12 +56,6 @@ func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Se
 	}
 	e := &engine{m: m, p: p, set: set, bud: newBudget(p, ctx), obs: o.Observer, sp: sp,
 		subs: make([]*subtree, m.Cols()), abort: make(chan struct{})}
-	if r := o.Resume; r != nil {
-		// Pre-charge the shared budget with the settled prefix so MaxNodes/
-		// MaxClusters keep bounding the RUN, not the continuation.
-		e.bud.nodes.Store(int64(r.Prefix.Nodes))
-		e.bud.clusters.Store(int64(r.Prefix.Clusters))
-	}
 	g.halt = func() error {
 		e.stopWorkers()
 		return e.failure()
@@ -64,9 +63,15 @@ func mineParallel(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Se
 	for c := range e.subs {
 		e.subs[c] = newSubtree()
 	}
+	// The resumed head's buffer holds what the run delivered before its
+	// snapshot; the merger reads on from there.
+	e.subs[g.next].items = make([]SubtreeCluster, g.taken)
 	for _, part := range spliced {
-		if part != nil {
-			e.deliver(part.Cond, len(part.Clusters), part.Clusters, &part.Stats)
+		if part != nil && part.Cond >= g.next {
+			// Like every producer, a partial skips what its buffer holds.
+			held := e.subs[part.Cond].buffered()
+			batch := part.Clusters[min(held, len(part.Clusters)):]
+			e.deliver(part.Cond, held+len(batch), batch, &part.Stats)
 		}
 	}
 	// Earlier subtrees settled before the resume snapshot; spliced ones are
@@ -161,8 +166,9 @@ func (e *engine) mineSubtree(c int) {
 	mn := newMiner(e.m, e.p, e.set, e.bud)
 	mn.sink = sub.push
 	if skip := sub.buffered(); skip > 0 {
-		// A root a taker put back: its buffer already holds the first skip
-		// clusters, which this run suppresses as a merger rerun does.
+		// A root put back — by a taker, or as a resumed run's head: its
+		// buffer already holds the first skip clusters, which this run
+		// suppresses as a merger rerun does.
 		mn.sink = func(b *Bicluster, node int) bool {
 			if skip > 0 {
 				skip--
@@ -248,12 +254,11 @@ func (e *engine) stopWorkers() {
 func (e *engine) emit(g *SubtreeMerger) error {
 	for !g.done {
 		sub := e.subs[g.next]
-		read := 0
 		for closed := false; !closed && !g.done; {
+			// The merger has consumed exactly the first g.taken clusters.
 			var items []SubtreeCluster
-			items, closed = sub.take(read)
+			items, closed = sub.take(g.taken)
 			for _, sc := range items {
-				read++
 				if g.offerCluster(sc) {
 					break
 				}
@@ -310,8 +315,9 @@ type SubtreeQueue struct {
 }
 
 // Take removes the next queued root and returns it with the number of its
-// clusters already buffered, which the taker must not deliver again. ok is
-// false when no root is queued.
+// clusters already buffered — shipped by an earlier taker, or delivered
+// before a resumed run's snapshot — which the taker must not deliver again.
+// ok is false when no root is queued.
 func (q *SubtreeQueue) Take() (cond, buffered int, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

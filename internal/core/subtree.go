@@ -82,11 +82,10 @@ func MineSubtreeFunc(ctx context.Context, m *matrix.Matrix, p Params, cond int, 
 // exact sequential mining output. Clusters are delivered in
 // starting-condition order, DFS within a subtree; the global MaxNodes/
 // MaxClusters caps are enforced against the settled prefix using each
-// cluster's subtree-local node ordinal; a resumed run suppresses the
-// clusters its checkpoint already delivered; checkpoints are emitted at
-// subtree boundaries plus every EveryClusters deliveries; and any truncation
-// (cap trip or visitor stop) re-mines the truncating subtree locally against
-// a budget pre-charged with the prefix totals, reproducing the truncated
+// cluster's subtree-local node ordinal; checkpoints are emitted at subtree
+// boundaries plus every EveryClusters deliveries; and any truncation (cap
+// trip or visitor stop) re-mines the truncating subtree locally against a
+// budget pre-charged with the prefix totals, reproducing the truncated
 // sequential run's Stats exactly. Not safe for concurrent use; one goroutine
 // owns a merger.
 type SubtreeMerger struct {
@@ -102,57 +101,50 @@ type SubtreeMerger struct {
 	// takes over their work; a non-nil return fails the run instead.
 	halt func() error
 
-	next   int // the head: first condition not yet folded
-	taken  int // clusters of the head consumed so far, suppressed ones included
-	resume int // the resumed subtree; its first `skip` clusters are suppressed
-	skip   int // resume watermark of subtree `resume`
+	next  int // the head: first condition not yet folded
+	taken int // clusters of the head consumed so far, delivered before a resume included
 
 	// Exact sequential accounting of the settled prefix, and the isolated
-	// Stats of each subtree folded into it, in condition order.
+	// Stats of each subtree folded into it, in condition order. subtrees is
+	// append-only, so snapshots share it.
 	agg         Stats
 	cumNodes    int
 	cumClusters int
 	subtrees    []Stats
 
-	// Checkpoint emission state: ckFresh counts deliveries since the last
-	// snapshot; lastChain is the chain of the most recent delivery.
-	ckFresh   int
-	lastChain []int
+	ckFresh int // deliveries since the last snapshot
 
 	done bool
 	err  error
 }
 
 // newMerger builds a merger over (m, p) and the run's resolved model set.
-// The visitor receives clusters on the emitter's goroutine; resume positions
-// the merger after a prior run's checkpoint (its prefix is never
-// re-delivered), and ck emits new snapshots at subtree boundaries plus every
-// EveryClusters deliveries. ctx bounds reconciliation reruns; nil means
-// background.
+// The visitor receives clusters on the emitter's goroutine; resume folds a
+// prior run's settled subtrees and positions the head after the clusters it
+// already delivered, which are never re-delivered; ck emits new snapshots at
+// subtree boundaries plus every EveryClusters deliveries. ctx bounds
+// reconciliation reruns; nil means background.
 func newMerger(ctx context.Context, m *matrix.Matrix, p Params, set *rwave.Set, visit Visitor, resume *Checkpoint, ck CheckpointConfig) (*SubtreeMerger, error) {
-	g := &SubtreeMerger{ctx: ctx, m: m, p: p, set: set, visit: visit, ck: ck}
+	g := &SubtreeMerger{ctx: ctx, m: m, p: p, set: set, visit: visit, ck: ck, subtrees: make([]Stats, 0, m.Cols())}
 	if resume != nil {
 		if err := resume.Validate(m.Cols()); err != nil {
 			return nil, err
 		}
-		g.next = resume.NextCond
-		g.resume = resume.NextCond
-		g.skip = resume.SkipClusters
-		g.agg = resume.Prefix
-		g.cumNodes = resume.Prefix.Nodes
-		g.cumClusters = resume.Prefix.Clusters
-		g.lastChain = resume.LastChain
+		for _, st := range resume.Subtrees {
+			g.settle(st)
+		}
+		g.taken = resume.SkipClusters
+		if p.MaxClusters > 0 && g.cumClusters+g.taken >= p.MaxClusters {
+			return nil, fmt.Errorf("core: checkpoint delivered %d clusters, at or past MaxClusters %d", resume.Delivered(), p.MaxClusters)
+		}
 	}
-	if g.next >= m.Cols() {
-		g.done = true
-	}
-	g.subtrees = make([]Stats, 0, m.Cols()-g.next)
+	g.done = g.next >= m.Cols()
 	return g, nil
 }
 
 // result returns the run's total Stats and error once the merger is done,
-// plus the isolated Stats of every subtree, which only a run that folded
-// each subtree from condition 0 without truncation has.
+// plus the isolated Stats of every subtree, which only a run that settled
+// each subtree without truncation has.
 func (g *SubtreeMerger) result() (Stats, []Stats, error) {
 	if len(g.subtrees) < g.m.Cols() {
 		return g.agg, nil, g.err
@@ -166,8 +158,6 @@ func (g *SubtreeMerger) result() (Stats, []Stats, error) {
 //   - a cluster is admitted only if the node that emitted it lies within the
 //     global node cap (cumNodes + local node ordinal <= MaxNodes) — the exact
 //     set of nodes the sequential miner processes;
-//   - the first skip clusters of a resumed subtree count toward every cap,
-//     exactly as they did originally, but are not re-delivered;
 //   - a visitor stop right after a cluster is equivalent to a MaxClusters cap
 //     at the delivered total;
 //   - the cluster whose admission reaches MaxClusters is delivered, then the
@@ -180,13 +170,11 @@ func (g *SubtreeMerger) offerCluster(sc SubtreeCluster) bool {
 		return true
 	}
 	g.taken++
-	if g.taken > g.headSkip() {
-		if !g.visit(sc.Cluster) {
-			g.truncate(c, g.taken, g.cumClusters+g.taken)
-			return true
-		}
-		g.noteDelivery(c, g.taken, sc.Cluster)
+	if !g.visit(sc.Cluster) {
+		g.truncate(c, g.taken, g.cumClusters+g.taken)
+		return true
 	}
+	g.noteDelivery(c, g.taken)
 	if clusterCap > 0 && g.cumClusters+g.taken >= clusterCap {
 		g.truncate(c, g.taken, clusterCap)
 		return true
@@ -210,67 +198,60 @@ func (g *SubtreeMerger) finishHead(st Stats, complete bool) {
 		return
 	}
 	if !complete {
-		// A producer interrupted before the resume watermark still owes the
-		// suppression of every cluster the pre-crash run delivered.
-		skip := max(g.taken, g.headSkip())
 		var err error
-		if st, err = g.rerun(c, skip, true, g.p.MaxClusters); err != nil {
+		if st, err = g.rerun(c, g.taken, true, g.p.MaxClusters); err != nil {
 			g.fail(err)
 			return
 		}
 	}
-	g.agg.Add(st)
-	g.cumNodes += st.Nodes
-	g.cumClusters += st.Clusters
 	if st.Truncated {
+		g.agg.Add(st)
 		g.sp.Add("budget_trips", 1)
 		g.done = true
 		return
 	}
-	g.subtrees = append(g.subtrees, st)
-	g.next, g.taken = c+1, 0
-	if g.next >= g.m.Cols() {
-		g.done = true
-	}
+	g.settle(st)
 	if g.ck.enabled() {
 		// After a boundary a resumed run starts cleanly at the next subtree.
 		g.snapshot(g.next, 0)
 	}
 }
 
-// headSkip is the resume watermark that applies to the head subtree.
-func (g *SubtreeMerger) headSkip() int {
-	if g.next == g.resume {
-		return g.skip
-	}
-	return 0
+// settle folds the head subtree's isolated Stats st into the run and moves
+// the head to the next condition: the one step by which a finished subtree,
+// mined here or recorded by a resumed run's checkpoint, joins the result.
+func (g *SubtreeMerger) settle(st Stats) {
+	g.agg.Add(st)
+	g.cumNodes += st.Nodes
+	g.cumClusters += st.Clusters
+	g.subtrees = append(g.subtrees, st)
+	g.next, g.taken = g.next+1, 0
+	g.done = g.next >= g.m.Cols()
 }
 
 // noteDelivery tracks one delivered cluster for checkpointing: it advances
-// the cadence counter, remembers the DFS chain, and snapshots when the
-// configured number of deliveries has accumulated. taken is the sequential
-// within-subtree ordinal of the delivery, i.e. the subtree watermark.
-func (g *SubtreeMerger) noteDelivery(c, taken int, b *Bicluster) {
-	if !g.ck.enabled() {
+// the cadence counter and snapshots when the configured number of
+// deliveries has accumulated. taken is the sequential within-subtree ordinal
+// of the delivery, i.e. the subtree watermark. The delivery that reaches
+// MaxClusters ends the run, so no snapshot resumes after it.
+func (g *SubtreeMerger) noteDelivery(c, taken int) {
+	if !g.ck.enabled() || g.p.MaxClusters > 0 && g.cumClusters+taken >= g.p.MaxClusters {
 		return
 	}
 	g.ckFresh++
-	g.lastChain = b.Chain
 	if g.ck.EveryClusters > 0 && g.ckFresh >= g.ck.EveryClusters {
 		g.snapshot(c, taken)
 	}
 }
 
 // snapshot emits one Checkpoint positioned before the skip-th undelivered
-// cluster of subtree nextCond.
+// cluster of subtree nextCond. It shares the settled subtrees' Stats, capped
+// so the receiver cannot append into the merger's list.
 func (g *SubtreeMerger) snapshot(nextCond, skip int) {
 	g.ckFresh = 0
 	g.sp.Add("checkpoints", 1)
-	ck := Checkpoint{Version: CheckpointVersion, NextCond: nextCond, SkipClusters: skip, Prefix: g.agg}
-	if len(g.lastChain) > 0 {
-		ck.LastChain = append([]int(nil), g.lastChain...)
-	}
-	g.ck.OnCheckpoint(ck)
+	g.ck.OnCheckpoint(Checkpoint{Version: CheckpointVersion, NextCond: nextCond, SkipClusters: skip,
+		Subtrees: g.subtrees[:nextCond:nextCond]})
 }
 
 // truncate settles a truncation detected in subtree c after `taken` of its
@@ -324,7 +305,7 @@ func (g *SubtreeMerger) rerun(c, skip int, deliver bool, clusterCap int) (Stats,
 		if !g.visit(b) {
 			return false
 		}
-		g.noteDelivery(c, emitted, b)
+		g.noteDelivery(c, emitted)
 		return true
 	}
 	mn.runFrom(c)

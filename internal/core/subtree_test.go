@@ -41,7 +41,9 @@ func mineSubtree(ctx context.Context, m *matrix.Matrix, p Params, cond int, mode
 // root, mines each in isolation (uncapped, as a remote worker does), and
 // delivers the subtrees out of order — descending condition, so the merger's
 // head arrives last — each in two batches, the second carrying its isolated
-// Stats. It records the order it took the roots in.
+// Stats. Like dist.Worker, it skips the clusters a root's buffer already
+// holds and offsets its watermarks by them. It records the order it took the
+// roots in.
 type remoteTaker struct {
 	t      *testing.T
 	m      *matrix.Matrix
@@ -62,25 +64,25 @@ func (r *remoteTaker) share(q *SubtreeQueue) func() {
 
 func (r *remoteTaker) deliver(ctx context.Context, q *SubtreeQueue) {
 	parts := make([]*SubtreePartial, r.m.Cols())
+	skips := make([]int, r.m.Cols())
 	for c, buffered, ok := q.Take(); ok; c, buffered, ok = q.Take() {
-		if buffered != 0 {
-			r.t.Errorf("root %d taken with %d clusters already buffered", c, buffered)
-		}
 		part, err := mineSubtree(ctx, r.m, r.p, c, r.models)
 		if err != nil {
 			return // the run ended first
 		}
 		r.taken = append(r.taken, c)
-		parts[c] = part
+		parts[c], skips[c] = part, buffered
 	}
 	for c := len(parts) - 1; c >= 0; c-- {
 		part := parts[c]
 		if part == nil {
 			continue
 		}
-		half := len(part.Clusters) / 2
-		if !q.Append(c, half, part.Clusters[:half], nil) ||
-			!q.Append(c, len(part.Clusters), part.Clusters[half:], &part.Stats) {
+		skip := skips[c]
+		rest := part.Clusters[skip:]
+		half := len(rest) / 2
+		if !q.Append(c, skip+half, rest[:half], nil) ||
+			!q.Append(c, skip+len(rest), rest[half:], &part.Stats) {
 			r.t.Errorf("delivery of subtree %d refused", c)
 			return
 		}
@@ -179,7 +181,10 @@ func TestSubtreeMergerResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullStats := res.Stats
+	fullStats, fullSubtrees := res.Stats, res.Subtrees
+	if len(fullSubtrees) != m.Cols() {
+		t.Fatalf("full run recorded %d per-subtree stats, want %d", len(fullSubtrees), m.Cols())
+	}
 	if len(cks) == 0 {
 		t.Fatal("no checkpoints emitted")
 	}
@@ -209,6 +214,45 @@ func TestSubtreeMergerResume(t *testing.T) {
 	if !reflect.DeepEqual(fullStats, res.Stats) {
 		t.Errorf("resumed stats: want %+v, got %+v", fullStats, res.Stats)
 	}
+	if !reflect.DeepEqual(fullSubtrees, res.Subtrees) {
+		t.Errorf("resumed per-subtree stats: want %+v, got %+v", fullSubtrees, res.Subtrees)
+	}
+}
+
+// A checkpoint inside a subtree resumes through the shared queue with its
+// head put back: the taker gets the head with the delivered clusters
+// buffered and ships only the rest, and the run ends as the cold one did.
+func TestSubtreeMergerResumeInsideSubtree(t *testing.T) {
+	m, p := subtreeTestMatrix(t)
+	full, err := Mine(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cks []Checkpoint
+	if _, err := MineWith(context.Background(), m, p, Options{Workers: 2, Visit: func(*Bicluster) bool { return true },
+		Checkpoint: CheckpointConfig{EveryClusters: 7, OnCheckpoint: func(ck Checkpoint) { cks = append(cks, ck) }}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ck := range cks {
+		if ck.SkipClusters == 0 || ck.NextCond == 0 {
+			continue
+		}
+		var tail []*Bicluster
+		res, _, err := mineRemote(context.Background(), t, m, p, Options{Resume: &ck, Visit: func(b *Bicluster) bool {
+			tail = append(tail, b)
+			return true
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clustersEqual(t, full.Clusters[ck.Delivered():], tail)
+		if !reflect.DeepEqual(full.Stats, res.Stats) || !reflect.DeepEqual(full.Subtrees, res.Subtrees) {
+			t.Errorf("resumed at %d+%d: stats %+v / %+v, want %+v / %+v",
+				ck.NextCond, ck.SkipClusters, res.Stats, res.Subtrees, full.Stats, full.Subtrees)
+		}
+		return
+	}
+	t.Fatal("no checkpoint inside a subtree past condition 0; test is weak")
 }
 
 // A visitor stop inside remotely delivered subtrees must reproduce the

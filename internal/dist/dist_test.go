@@ -454,6 +454,126 @@ func TestDistributedResumeFromCheckpoint(t *testing.T) {
 	}
 }
 
+// A run resumed from a checkpoint inside a subtree, with no local worker and
+// one remote worker over HTTP: the head goes out as a put-back root whose
+// lease Skip is the checkpoint's watermark, the worker ships only the
+// clusters after it, and the run ends as the cold one did — suffix, Stats
+// and per-subtree Stats.
+func TestRemoteWorkerResumesHeadFromCheckpoint(t *testing.T) {
+	m, p := distTestMatrix(t)
+	models, err := core.BuildModels(m, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.Mine(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cks []core.Checkpoint
+	if _, err := core.MineWith(context.Background(), m, p, core.Options{Workers: 2, Models: models, Visit: func(*core.Bicluster) bool { return true },
+		Checkpoint: core.CheckpointConfig{EveryClusters: 1, OnCheckpoint: func(ck core.Checkpoint) { cks = append(cks, ck) }}}); err != nil {
+		t.Fatal(err)
+	}
+	var ck core.Checkpoint
+	for _, c := range cks {
+		if c.NextCond > 0 && c.SkipClusters > 0 && c.SkipClusters < ref.Subtrees[c.NextCond].Clusters {
+			ck = c
+			break
+		}
+	}
+	if ck.SkipClusters == 0 {
+		t.Fatal("no checkpoint inside a subtree past condition 0; test is vacuous")
+	}
+
+	id := m.Hash()
+	var (
+		evMu sync.Mutex
+		evs  []Event
+	)
+	c := NewCoordinator(Config{LeaseTTL: time.Minute, Datasets: mapSource{id: m}, Logf: t.Logf, Events: func(ev Event) {
+		evMu.Lock()
+		evs = append(evs, ev)
+		evMu.Unlock()
+	}})
+	mux := http.NewServeMux()
+	c.Routes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	w := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "resumer"})
+	defer runWorkers(w)()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var tail []*core.Bicluster
+	res, err := core.MineWith(ctx, m, p, core.Options{Workers: -1, Resume: &ck, Share: c.Share("job-resume", id, p, nil),
+		Visit: func(b *core.Bicluster) bool {
+			tail = append(tail, b)
+			return true
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameClusters(t, ref.Clusters[ck.Delivered():], tail)
+	if !reflect.DeepEqual(ref.Stats, res.Stats) || !reflect.DeepEqual(ref.Subtrees, res.Subtrees) {
+		t.Errorf("resumed stats %+v / %+v, want %+v / %+v", res.Stats, res.Subtrees, ref.Stats, ref.Subtrees)
+	}
+
+	// A lease's completion event follows the shipment that settled the run;
+	// give the last one a moment to arrive.
+	settled := func() bool {
+		evMu.Lock()
+		defer evMu.Unlock()
+		n := 0
+		for _, ev := range evs {
+			if ev.Kind == EventLeaseIssued {
+				n++
+			} else if ev.Kind == EventLeaseCompleted {
+				n--
+			}
+		}
+		return n == 0
+	}
+	for deadline := time.Now().Add(5 * time.Second); !settled() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	evMu.Lock()
+	defer evMu.Unlock()
+	issued, completed := map[string]Event{}, map[string]Event{}
+	conds := map[int]bool{}
+	for _, ev := range evs {
+		switch ev.Kind {
+		case EventLeaseIssued:
+			issued[ev.Lease] = ev
+			conds[ev.Cond] = true
+		case EventLeaseCompleted:
+			completed[ev.Lease] = ev
+		case EventLeaseReassigned:
+			t.Errorf("lease %s reassigned (%s): the worker's shipment did not extend the buffer", ev.Lease, ev.Reason)
+		}
+	}
+	if len(conds) != m.Cols()-ck.NextCond {
+		t.Errorf("leased %d roots, want the %d from the head on", len(conds), m.Cols()-ck.NextCond)
+	}
+	for lease, ev := range issued {
+		if ev.Cond < ck.NextCond {
+			t.Errorf("lease %s on subtree %d, settled before the checkpoint", lease, ev.Cond)
+		}
+		want := 0
+		if ev.Cond == ck.NextCond {
+			want = ck.SkipClusters
+		}
+		if ev.Skip != want {
+			t.Errorf("lease %s on subtree %d carries Skip %d, want %d", lease, ev.Cond, ev.Skip, want)
+		}
+		// The buffer accepts only shipments that extend it exactly, so a
+		// completed head holds Skip resumed clusters plus what was shipped.
+		if done, ok := completed[lease]; !ok || done.Skip != ref.Subtrees[ev.Cond].Clusters {
+			t.Errorf("lease %s on subtree %d completed with %d clusters buffered, want %d",
+				lease, ev.Cond, done.Skip, ref.Subtrees[ev.Cond].Clusters)
+		}
+	}
+}
+
 // mineShared runs core.MineWith over m with its subtree queue shared with c,
 // as a coordinator-mode server does: o.Workers local workers (negative for
 // none) beside c's remote ones, with visit receiving the merged clusters.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -415,7 +416,9 @@ func TestDeltaLineageSurvivesRestart(t *testing.T) {
 // settled result, so a child job submitted after a reboot splices from the
 // parent result restored from disk — 3 subtrees reused, 2 mined — and still
 // equals a cold mine. A result file written before they were persisted
-// restores without them, and the child mines cold, naming the fallback.
+// restores without them, and the child mines cold, naming the fallback. A
+// parent job that crashed past condition 0 and resumed from its journaled
+// checkpoint after the reboot seeds the splice like a cold one.
 func TestRestoredParentResultSeedsSplice(t *testing.T) {
 	p := incrParams()
 	grown, err := matrix.AppendConditions(incrParentMatrix(), incrDeltaMatrix())
@@ -433,11 +436,13 @@ func TestRestoredParentResultSeedsSplice(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		legacy   bool // strip the subtrees from the parent's result file
+		resumed  bool // crash the parent job after its checkpoint at condition 2
 		reused   int
 		fallback string
 	}{
-		{"persisted_subtrees", false, 3, ""},
-		{"legacy_result_file", true, 0, "parent result has no per-subtree stats"},
+		{"persisted_subtrees", false, false, 3, ""},
+		{"legacy_result_file", true, false, 0, "parent result has no per-subtree stats"},
+		{"resumed_parent", false, true, 3, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -447,9 +452,19 @@ func TestRestoredParentResultSeedsSplice(t *testing.T) {
 			}
 			ts := httptest.NewServer(s.Handler())
 			parentID := uploadMatrix(t, ts, incrParentMatrix(), "parent")
-			if v := waitTerminal(t, ts, submitJob(t, ts, submitRequest{Dataset: parentID, Params: p, Workers: 2}).ID); v.Status != StatusDone {
+			if tc.resumed {
+				// The journal freezes after the submit record and the
+				// checkpoints at conditions 1 and 2, and the result never
+				// reaches disk: the state a SIGKILL there leaves.
+				t.Cleanup(faultinject.Reset)
+				faultinject.Arm("journal.append", faultinject.Spec{Err: errors.New("simulated crash"), After: 3})
+				faultinject.Arm("persist.result", faultinject.Spec{Err: errors.New("simulated crash")})
+			}
+			parentJob := submitJob(t, ts, submitRequest{Dataset: parentID, Params: p, Workers: 2}).ID
+			if v := waitTerminal(t, ts, parentJob); v.Status != StatusDone {
 				t.Fatalf("parent job ended %s: %s", v.Status, v.Error)
 			}
+			faultinject.Reset()
 			child, status := appendDeltaHTTP(t, ts, parentID, "", incrDeltaMatrix())
 			if status != http.StatusCreated {
 				t.Fatalf("append status %d", status)
@@ -480,7 +495,32 @@ func TestRestoredParentResultSeedsSplice(t *testing.T) {
 				}
 			}
 
-			_, ts2 := openTestServer(t, Config{DataDir: dir})
+			if tc.resumed {
+				var last *core.Checkpoint
+				for _, rec := range journalRecords(t, dir) {
+					if rec.Type == recCheckpoint && rec.Job == parentJob {
+						last = rec.Ckpt
+					}
+					if rec.Job == parentJob && rec.Type == recDone {
+						t.Fatal("the parent job's done record reached the journal")
+					}
+				}
+				if last == nil || last.NextCond != 2 {
+					t.Fatalf("last journaled checkpoint %+v, want one at condition 2", last)
+				}
+			}
+
+			var lc logCapture
+			_, ts2 := openTestServer(t, Config{DataDir: dir, Logf: lc.logf})
+			if tc.resumed {
+				pv := waitTerminal(t, ts2, parentJob)
+				if pv.Status != StatusDone || !pv.Recovered {
+					t.Fatalf("resumed parent job %+v", pv)
+				}
+				if !lc.contains("resuming job " + parentJob + " from checkpoint (1 clusters already delivered)") {
+					t.Fatalf("parent job did not resume from its checkpoint: %v", lc.snapshot())
+				}
+			}
 			cv := waitTerminal(t, ts2, submitJob(t, ts2, submitRequest{Dataset: child.ID, Params: p, Workers: 2}).ID)
 			if cv.Status != StatusDone {
 				t.Fatalf("child job ended %s: %s", cv.Status, cv.Error)

@@ -94,12 +94,13 @@ type Job struct {
 	done      chan struct{} // closed once status is terminal
 
 	// Crash-recovery state. lastCkpt is the most recent miner snapshot (the
-	// resume point of the next attempt or the next boot); journaled is the
-	// cluster watermark already written to the WAL; attempts counts
-	// transient-failure retries.
-	lastCkpt  *core.Checkpoint
-	journaled int
-	attempts  int
+	// resume point of the next attempt); journaled and journaledSubtrees are
+	// how many clusters and settled subtrees' Stats the WAL already holds;
+	// attempts counts transient-failure retries.
+	lastCkpt          *core.Checkpoint
+	journaled         int
+	journaledSubtrees int
+	attempts          int
 
 	// incr reports how the incremental re-mine path handled this job (nil
 	// when the job had no delta lineage to exploit); subtrees are the
@@ -246,21 +247,24 @@ func (j *Job) bump() {
 	j.changed = make(chan struct{})
 }
 
-// rewindTo discards clusters past the checkpoint watermark before a retry
-// resumes from that checkpoint, so the resumed attempt never re-delivers
+// rewindTo discards clusters past the watermark of ck (nil: from scratch)
+// before a retry resumes from it, so the resumed attempt never re-delivers
 // them. The prefix is COPIED into a fresh backing array: stream readers may
 // still hold aliases of the old one, and the re-mined appends must not write
 // through those (the re-mined values are identical — mining is deterministic
 // — but the race detector rightly objects to the overlapping writes).
-func (j *Job) rewindTo(watermark int) {
+func (j *Job) rewindTo(ck *core.Checkpoint) {
+	watermark, settled := 0, 0
+	if ck != nil {
+		watermark, settled = ck.Delivered(), ck.NextCond
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if watermark < len(j.clusters) {
 		j.clusters = append([]report.NamedCluster(nil), j.clusters[:watermark]...)
 	}
-	if j.journaled > watermark {
-		j.journaled = watermark
-	}
+	j.journaled = min(j.journaled, watermark)
+	j.journaledSubtrees = min(j.journaledSubtrees, settled)
 }
 
 // resumePoint returns the snapshot the next mining attempt starts from.
@@ -659,11 +663,7 @@ func (m *jobManager) mine(ctx context.Context, j *Job) (core.Stats, error) {
 		return core.Stats{}, err
 	}
 	resume := j.resumePoint()
-	if resume != nil {
-		j.rewindTo(resume.Delivered())
-	} else {
-		j.rewindTo(0)
-	}
+	j.rewindTo(resume)
 	mat := j.Dataset.Matrix()
 	ck := core.CheckpointConfig{
 		EveryClusters: m.ckEvery,
@@ -739,8 +739,8 @@ func (m *jobManager) mine(ctx context.Context, j *Job) (core.Stats, error) {
 // parent, an evicted parent result, or names that no longer resolve —
 // returns nil and the job mines cold without touching the incremental
 // metrics: the fallback counter is reserved for runs where reuse was
-// plausible but the engine itself declined (a parent result restored from
-// disk, for one, has no per-subtree Stats).
+// plausible but the engine itself declined (a parent result persisted
+// before results carried per-subtree Stats, for one).
 func (m *jobManager) incrementalPlan(j *Job) *core.Parent {
 	d := j.Dataset.Delta
 	if d == nil || d.Axis != DeltaAxisConditions || m.datasets == nil || m.cache == nil {
@@ -768,30 +768,27 @@ func (m *jobManager) incrementalPlan(j *Job) *core.Parent {
 
 // noteCheckpoint records a miner snapshot: it becomes the job's resume point
 // and — on a durable server — is journaled together with every cluster
-// delivered since the previous journaled watermark. The callback runs
-// synchronously on the mining emitter goroutine, so the append completes
-// before any further cluster is delivered: the WAL watermark never runs
-// ahead of delivery.
+// delivered and every subtree's Stats settled since the previous journaled
+// record. The callback runs synchronously on the mining emitter goroutine,
+// so the append completes before any further cluster is delivered: the WAL
+// watermark never runs ahead of delivery.
 func (m *jobManager) noteCheckpoint(j *Job, ck core.Checkpoint) {
 	m.metrics.Checkpoints.Add(1)
 	j.mu.Lock()
-	ckCopy := ck
-	j.lastCkpt = &ckCopy
-	watermark := ck.Delivered()
-	if watermark > len(j.clusters) {
-		watermark = len(j.clusters)
-	}
+	j.lastCkpt = &ck
+	watermark := min(ck.Delivered(), len(j.clusters))
 	var fresh []report.NamedCluster
 	if m.wal != nil && watermark > j.journaled {
 		fresh = append([]report.NamedCluster(nil), j.clusters[j.journaled:watermark]...)
 	}
+	settled := ck.Subtrees[min(j.journaledSubtrees, len(ck.Subtrees)):] // append-only: no copy
 	j.mu.Unlock()
 	if m.wal == nil {
 		return
 	}
-	if m.journalAppend(journalRecord{Type: recCheckpoint, Job: j.ID, Ckpt: &ckCopy, NewClusters: fresh}) {
+	if m.journalAppend(checkpointRecord(j.ID, &ck, fresh, settled)) {
 		j.mu.Lock()
-		j.journaled = watermark
+		j.journaled, j.journaledSubtrees = watermark, len(ck.Subtrees)
 		j.mu.Unlock()
 	}
 }
@@ -822,7 +819,8 @@ func isTransient(err error) bool {
 // point is schedule-dependent, unlike MaxNodes/MaxClusters truncation, which
 // is deterministic and therefore cacheable. A worker panic surfaces as
 // failed with the captured stack; shutdown-driven cancellation surfaces as
-// interrupted, journaled with the resume checkpoint.
+// interrupted, which journals nothing: without a terminal record the next
+// boot resumes the job from its last checkpoint record.
 //
 // Everything in memory is published before the status flips: a reader that
 // sees the job terminal — its stream ending, a /diff against it, its
@@ -861,7 +859,6 @@ func (m *jobManager) settle(j *Job, key string, stats core.Stats, err error) {
 	}
 	j.mu.Lock()
 	clusters := j.clusters
-	ckpt := j.lastCkpt
 	queuedFor, ranFor := j.queuedFor, j.ranFor
 	attempts := j.attempts
 	subtrees := j.subtrees
@@ -946,8 +943,6 @@ func (m *jobManager) settle(j *Job, key string, stats core.Stats, err error) {
 		} else {
 			m.journalAppend(journalRecord{Type: recCancelled, Job: j.ID})
 		}
-	case StatusInterrupted:
-		m.journalAppend(journalRecord{Type: recInterrupted, Job: j.ID, Ckpt: ckpt})
 	case StatusFailed:
 		m.journalAppend(journalRecord{Type: recFailed, Job: j.ID, Error: errMsg})
 	}
@@ -1035,9 +1030,9 @@ func (m *jobManager) queuedOrRunning() int {
 // live the running jobs finish naturally; once it expires they are cancelled
 // and drain waits for the cooperative stop (prompt: miners observe
 // cancellation at every node boundary). On a durable server a job cancelled
-// by the expiring grace period settles as interrupted — its checkpoint is
-// journaled and the next boot resumes it — rather than as a dead-end
-// cancellation.
+// by the expiring grace period settles as interrupted — it journals no
+// terminal record, so the next boot resumes it from its last checkpoint
+// record — rather than as a dead-end cancellation.
 func (m *jobManager) drain(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true

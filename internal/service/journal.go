@@ -19,12 +19,14 @@ import (
 // written by a newer server boots on an older one), and a torn final line —
 // the only damage an append-crash can cause — is dropped with a warning.
 const (
-	recSubmit      = "submit"      // a job was accepted (cache hit or not)
-	recCheckpoint  = "checkpoint"  // miner snapshot + clusters delivered since the previous record
-	recDone        = "done"        // job finished; result persisted under CacheKey
-	recFailed      = "failed"      // job ended in an error
-	recCancelled   = "cancelled"   // job cancelled by the caller
-	recInterrupted = "interrupted" // job stopped by shutdown; resumable from Ckpt
+	recSubmit     = "submit"     // a job was accepted (cache hit or not)
+	recCheckpoint = "checkpoint" // miner snapshot + clusters and subtree Stats settled since the previous record
+	recDone       = "done"       // job finished; result persisted under CacheKey
+	recFailed     = "failed"     // job ended in an error
+	recCancelled  = "cancelled"  // job cancelled by the caller
+	// recInterrupted is the shutdown marker older servers appended with the
+	// job's in-memory snapshot; replay skips it (see replayRecords).
+	recInterrupted = "interrupted"
 	// recSweep binds already-submitted point jobs into one sweep. It is
 	// appended after the last point's submit record, so a crash mid-sweep
 	// leaves at worst a set of ordinary jobs (each individually resumable);
@@ -67,11 +69,12 @@ type journalRecord struct {
 	Workers   int          `json:"workers,omitempty"`
 	TimeoutMS int64        `json:"timeout_ms,omitempty"`
 
-	// checkpoint / interrupted: the miner snapshot plus every cluster
-	// delivered since the last journaled watermark, so replay reconstructs
-	// exactly the prefix the snapshot covers.
+	// checkpoint: the miner snapshot plus every cluster delivered and every
+	// subtree's Stats settled since the last journaled record, so replay
+	// reconstructs exactly the prefix the snapshot covers.
 	Ckpt        *core.Checkpoint      `json:"ckpt,omitempty"`
 	NewClusters []report.NamedCluster `json:"new_clusters,omitempty"`
+	NewSubtrees []core.Stats          `json:"new_subtrees,omitempty"`
 
 	// terminal records
 	Stats    *core.Stats `json:"stats,omitempty"`
@@ -91,6 +94,14 @@ type journalRecord struct {
 	// delta: lineage of an appended dataset (recDelta); Dataset above carries
 	// the child's content hash.
 	Delta *DeltaInfo `json:"delta,omitempty"`
+}
+
+// checkpointRecord journals snapshot ck of job with the clusters and
+// subtree Stats earlier records lack; the snapshot's own Subtrees stay out,
+// so a record grows by what it settled, not by the run so far.
+func checkpointRecord(job string, ck *core.Checkpoint, clusters []report.NamedCluster, subtrees []core.Stats) journalRecord {
+	return journalRecord{Type: recCheckpoint, Job: job, NewClusters: clusters, NewSubtrees: subtrees,
+		Ckpt: &core.Checkpoint{Version: ck.Version, NextCond: ck.NextCond, SkipClusters: ck.SkipClusters}}
 }
 
 // journal is the append side of the WAL. Appends are serialized and fsynced

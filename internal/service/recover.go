@@ -26,13 +26,14 @@ import (
 // Recovery is tolerant end to end: a missing, empty, or corrupt data-dir
 // degrades to a clean boot with logged warnings, never a refusal to start.
 
-// replayedJob is the journal-derived state of one job.
+// replayedJob is the journal-derived state of one job; ckpt.Subtrees shares
+// subtrees.
 type replayedJob struct {
-	submit      journalRecord
-	clusters    []report.NamedCluster
-	ckpt        *core.Checkpoint
-	terminal    *journalRecord
-	interrupted bool
+	submit   journalRecord
+	clusters []report.NamedCluster
+	subtrees []core.Stats
+	ckpt     *core.Checkpoint
+	terminal *journalRecord
 }
 
 // replayRecords folds journal records into per-job states, returning the
@@ -78,14 +79,18 @@ func replayRecords(recs []journalRecord, logf func(string, ...any)) (ordered []*
 				logf("service: journal: checkpoint record for %q carries no snapshot; skipping", rec.Job)
 				continue
 			}
-			j.ckpt = rec.Ckpt
 			// A re-journaled overlap (an earlier append failed mid-run) is
-			// reconciled against the snapshot's watermark: keep the prefix
-			// this record does not cover, then append its clusters.
-			before := rec.Ckpt.Delivered() - len(rec.NewClusters)
-			if before < 0 {
-				before = 0
+			// reconciled against the snapshot's watermarks: keep the prefix
+			// this record does not cover, then append what it carries. A gap
+			// in the Stats (older servers journaled none) leaves them short
+			// of NextCond; the clusters still splice, and resume refuses it.
+			if at := rec.Ckpt.NextCond - len(rec.NewSubtrees); at >= 0 && at <= len(j.subtrees) {
+				j.subtrees = append(j.subtrees[:at], rec.NewSubtrees...)
 			}
+			ck := *rec.Ckpt
+			ck.Subtrees = j.subtrees
+			j.ckpt = &ck
+			before := max(ck.Delivered()-len(rec.NewClusters), 0)
 			if before < len(j.clusters) {
 				j.clusters = j.clusters[:before]
 			}
@@ -98,16 +103,6 @@ func replayRecords(recs []journalRecord, logf func(string, ...any)) (ordered []*
 			}
 			r := rec
 			j.terminal = &r
-		case recInterrupted:
-			j, ok := byID[rec.Job]
-			if !ok {
-				logf("service: journal: interrupted for unknown job %q; skipping", rec.Job)
-				continue
-			}
-			j.interrupted = true
-			if rec.Ckpt != nil {
-				j.ckpt = rec.Ckpt
-			}
 		case recSweep:
 			sweeps = append(sweeps, rec)
 		case recUsage:
@@ -121,12 +116,11 @@ func replayRecords(recs []journalRecord, logf func(string, ...any)) (ordered []*
 				usage = make(map[string]TenantUsage)
 			}
 			usage[rec.Tenant] = *rec.Usage
-		case recWorker, recLease:
-			// The coordinator-mode audit trail older servers wrote: leases
-			// and worker registrations do not survive the coordinator
-			// process (an interrupted distributed job resumes from its
-			// ordinary checkpoint records), so these records carry no
-			// replayable state and compaction drops them.
+		case recWorker, recLease, recInterrupted:
+			// Records older servers wrote with no replayable state: the
+			// coordinator-mode audit trail, and the shutdown marker, whose
+			// snapshot can cover clusters the journal lacks. Every job
+			// resumes from its checkpoint records; compaction drops these.
 		default:
 			logf("service: journal: unknown record type %q; skipping (newer server?)", rec.Type)
 		}
@@ -159,8 +153,9 @@ func canonicalRecords(jobs []*replayedJob, sweeps []journalRecord, deltas map[st
 		case j.terminal != nil:
 			out = append(out, *j.terminal)
 		case j.ckpt != nil:
-			out = append(out, journalRecord{Type: recCheckpoint, Time: j.submit.Time,
-				Job: j.submit.Job, Ckpt: j.ckpt, NewClusters: j.clusters})
+			rec := checkpointRecord(j.submit.Job, j.ckpt, j.clusters, j.subtrees)
+			rec.Time = j.submit.Time
+			out = append(out, rec)
 		}
 	}
 	out = append(out, sweeps...)
@@ -309,9 +304,9 @@ func (s *Server) restoreSettled(rj *replayedJob) {
 }
 
 // resumeInterrupted re-enqueues a job the previous process never settled —
-// either it journaled an explicit interrupted record at shutdown, or it
-// crashed with no terminal record at all. The job resumes from its last
-// checkpoint with the journaled cluster prefix already in place; with no
+// a shutdown interrupted it, or a crash — so its journal holds no terminal
+// record. The job resumes from its last checkpoint with the journaled
+// cluster prefix and subtree Stats already in place; with no usable
 // checkpoint it restarts from scratch.
 func (s *Server) resumeInterrupted(rj *replayedJob) {
 	j := s.jobShell(rj)
@@ -341,7 +336,7 @@ func (s *Server) resumeInterrupted(rj *replayedJob) {
 			ck := *rj.ckpt
 			j.lastCkpt = &ck
 			j.clusters = append([]report.NamedCluster(nil), rj.clusters...)
-			j.journaled = len(j.clusters)
+			j.journaled, j.journaledSubtrees = len(j.clusters), len(ck.Subtrees)
 		}
 	}
 	s.logf("service: resuming job %s from checkpoint (%d clusters already delivered)", j.ID, len(j.clusters))

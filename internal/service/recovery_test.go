@@ -511,3 +511,118 @@ func TestCloseStopsJobsBeforeJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestV1CheckpointRestartsFromScratch: a journal written before checkpoints
+// carried per-subtree Stats holds version-1 snapshots, whose one aggregate
+// prefix cannot seed them. Resume refuses such a snapshot, so the job mines
+// again from scratch: it settles byte-identical to a cold mine, and with the
+// per-subtree Stats a child dataset's job splices from.
+func TestV1CheckpointRestartsFromScratch(t *testing.T) {
+	dir := t.TempDir()
+	m, p := incrParentMatrix(), incrParams()
+	cold, err := core.Mine(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNamed := make([]report.NamedCluster, len(cold.Clusters))
+	for i, b := range cold.Clusters {
+		wantNamed[i] = report.Named(m, b)
+	}
+	srvA, tsA := openTestServer(t, Config{DataDir: dir})
+	id := uploadMatrix(t, tsA, m, "v1")
+	tsA.Close()
+	srvA.Close()
+
+	const job = "job-000001"
+	submit, err := json.Marshal(journalRecord{Type: recSubmit, Job: job, Seq: 1, Dataset: id, Params: &p, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The version-1 record of a snapshot after two subtrees, as older
+	// servers wrote it: an aggregate prefix and the chain last delivered.
+	prefix := cold.Subtrees[0]
+	prefix.Add(cold.Subtrees[1])
+	v1, err := json.Marshal(map[string]any{"type": recCheckpoint, "job": job,
+		"ckpt":         map[string]any{"v": 1, "next_cond": 2, "skip_clusters": 0, "prefix": prefix, "last_chain": cold.Clusters[0].Chain},
+		"new_clusters": wantNamed[:prefix.Clusters]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeJournalLines(t, dir, string(submit), string(v1))
+
+	var lc logCapture
+	srvB, tsB := openTestServer(t, Config{DataDir: dir, Logf: lc.logf})
+	fin := waitTerminal(t, tsB, job)
+	if fin.Status != StatusDone || !fin.Recovered {
+		t.Fatalf("recovered job %+v", fin)
+	}
+	if !lc.contains("checkpoint unusable (core: checkpoint version 1, want 2); restarting from scratch") {
+		t.Fatalf("version-1 checkpoint not refused: %v", lc.snapshot())
+	}
+	streamed, _ := streamClusters(t, tsB, job)
+	if !reflect.DeepEqual(streamed, wantNamed) || fin.Stats == nil || *fin.Stats != cold.Stats {
+		t.Fatalf("re-mined job (%+v, %+v) differs from a cold mine (%+v, %+v)", streamed, fin.Stats, wantNamed, cold.Stats)
+	}
+	res, ok := srvB.cache.get(cacheKey(id, p))
+	if !ok || !reflect.DeepEqual(res.subtrees, cold.Subtrees) {
+		t.Fatalf("settled result carries per-subtree stats %+v, want %+v", res.subtrees, cold.Subtrees)
+	}
+}
+
+// TestReplayIgnoresInterruptedSnapshot: older servers appended an
+// interrupted record at shutdown carrying the job's in-memory snapshot,
+// which can cover clusters whose checkpoint append failed. Replay skips the
+// record, so the job resumes from its last checkpoint record with the
+// clusters that record journaled, instead of finding the snapshot ahead of
+// the journal and restarting from scratch.
+func TestReplayIgnoresInterruptedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	m, p := recoveryWorkload(t)
+	wantNamed, wantStats := minedReference(t, m, p)
+	var snaps []core.Checkpoint
+	if _, err := core.MineWith(context.Background(), m, p, core.Options{Workers: 2, Visit: func(*core.Bicluster) bool { return true },
+		Checkpoint: core.CheckpointConfig{EveryClusters: 1, OnCheckpoint: func(ck core.Checkpoint) { snaps = append(snaps, ck) }}}); err != nil {
+		t.Fatal(err)
+	}
+	at := func(delivered int) *core.Checkpoint {
+		for i := range snaps {
+			if snaps[i].Delivered() == delivered {
+				return &snaps[i]
+			}
+		}
+		t.Fatalf("no snapshot at %d clusters", delivered)
+		return nil
+	}
+	srvA, tsA := openTestServer(t, Config{DataDir: dir})
+	id := uploadMatrix(t, tsA, m, "interrupted")
+	tsA.Close()
+	srvA.Close()
+
+	const job = "job-000001"
+	var lines []string
+	for _, rec := range []journalRecord{
+		{Type: recSubmit, Job: job, Seq: 1, Dataset: id, Params: &p, Workers: 2},
+		checkpointRecord(job, at(2), wantNamed[:2], at(2).Subtrees),
+		{Type: recInterrupted, Job: job, Ckpt: at(3)},
+	} {
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(raw))
+	}
+	writeJournalLines(t, dir, lines...)
+
+	var lc logCapture
+	_, tsB := openTestServer(t, Config{DataDir: dir, Logf: lc.logf})
+	fin := waitTerminal(t, tsB, job)
+	if !lc.contains("resuming job " + job + " from checkpoint (2 clusters already delivered)") {
+		t.Fatalf("job did not resume with its 2 journaled clusters: %v", lc.snapshot())
+	}
+	if fin.Status != StatusDone || fin.Stats == nil || *fin.Stats != wantStats {
+		t.Fatalf("resumed job %+v, want done with stats %+v", fin, wantStats)
+	}
+	if streamed, _ := streamClusters(t, tsB, job); !reflect.DeepEqual(streamed, wantNamed) {
+		t.Fatal("resumed result diverges from the uninterrupted run")
+	}
+}

@@ -2,7 +2,8 @@
 # Crash-recovery smoke test of the durable mining service: boot regserver on
 # a data-dir, SIGKILL it mid-job, restart it on the same data-dir, and assert
 # that the job resumes from its journaled checkpoint and finishes with a
-# result byte-identical to an uninterrupted run's.
+# result byte-identical to an uninterrupted run's — both as served and as
+# persisted under results/, per-subtree Stats included.
 set -euo pipefail
 
 script_dir=$(cd "$(dirname "$0")" && pwd)
@@ -45,7 +46,9 @@ for _ in $(seq 1 600); do
 done
 [[ "${clusters:-0}" -ge 500 ]] || fail "job never reached 500 clusters (at '$clusters')"
 kill_server
-note "SIGKILL at $clusters clusters"
+next_cond=$(grep '"type":"checkpoint"' "$workdir/datadir/journal.wal" | tail -n 1 \
+    | sed -n 's/.*"next_cond":\([0-9]*\).*/\1/p')
+note "SIGKILL at $clusters clusters; last journaled checkpoint at next_cond ${next_cond:-none}"
 
 # --- Phase 3: restart, resume, compare --------------------------------------
 start_server "$workdir/recover.log" -jobs 1 -workers 1 -data-dir "$workdir/datadir"
@@ -57,6 +60,11 @@ wait_done "$job" 600
 curl -sf "$base/jobs/$job/result" >"$workdir/recovered.json"
 cmp -s "$workdir/reference.json" "$workdir/recovered.json" \
     || fail "recovered result differs from the uninterrupted run"
+# Both runs persist their result under the same cache key.
+ref_file=$(ls "$workdir/refdir/results/"*.json)
+[[ $(wc -w <<<"$ref_file") == 1 ]] || fail "reference data-dir holds results '$ref_file'"
+cmp -s "$ref_file" "$workdir/datadir/results/$(basename "$ref_file")" \
+    || fail "recovered result file differs from the uninterrupted run's"
 stop_server
 note "recovered result byte-identical to the reference run"
 note "OK"
